@@ -62,6 +62,12 @@ def _lsq_slope(median_log_error: np.ndarray) -> float:
     return float(np.polyfit(steps[finite], y[finite], 1)[0])
 
 
+def _median_log_abs(v: np.ndarray) -> float:
+    """Median of ln|v|, with ln 0 = -inf for exact hits."""
+    with np.errstate(divide="ignore"):
+        return float(np.median(np.log(np.abs(v))))
+
+
 def mc_convergence(
     model: CorrectionModel,
     a: float,
@@ -82,17 +88,18 @@ def mc_convergence(
     """
     if s < 1.0:
         raise ValueError(f"s must be >= 1, got {s}")
+    if n_traj < 1 or n_iter < 1:
+        raise ValueError(f"n_traj and n_iter must be >= 1, got {n_traj} and {n_iter}")
     inst = normalize(a, b)
     l0_zero = isinstance(model, NormalModel)
     u = rng.uniform_matrix(seed, n_traj, n_iter)
     ba = inst.solution
 
     x = np.zeros(n_traj)
-    log_err = np.empty((n_iter + 1, n_traj))
+    median_log = np.empty(n_iter + 1)
     diverged = np.zeros(n_traj, dtype=bool)
     frozen = np.zeros(n_traj, dtype=bool)
-    with np.errstate(divide="ignore"):
-        log_err[0] = np.log(np.abs(ba - x))
+    median_log[0] = _median_log_abs(ba - x)
     for n in range(n_iter):
         res = inst.b - inst.a * x
         active = ~frozen & (res != 0.0)
@@ -108,10 +115,8 @@ def mc_convergence(
         abs_x = np.abs(x)
         diverged |= abs_x > DIVERGENCE_THRESHOLD
         frozen |= abs_x > _FREEZE_AT
-        with np.errstate(divide="ignore"):
-            log_err[n + 1] = np.log(np.abs(ba - x))
+        median_log[n + 1] = _median_log_abs(ba - x)
 
-    median_log = np.median(log_err, axis=1)
     # median commutes with log, so this is ln median |s^n error|
     shift = median_log[-1] + n_iter * math.log(s) - median_log[0]
     if shift < math.log(1e-6):

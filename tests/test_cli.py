@@ -154,6 +154,22 @@ def test_mc_outcomes(capsys):
     assert doc["diverged_fraction"] >= 0.95
 
 
+@pytest.mark.parametrize("flag,value", [("--n-traj", "0"), ("--n-iter", "-1")])
+def test_mc_bad_sizes_exit_1(capsys, flag, value):
+    code = main(["mc", "--model", "normal", "--beta", "2", flag, value])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "n_traj and n_iter must be >= 1" in err and "Traceback" not in err
+
+
+def test_solve_seed_out_of_range_exits_1(capsys):
+    code = main(["solve", "--a", "0.5", "--b", "0.7", "--beta", "2", "--model", "a2",
+                 "--seed", str(2**64)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "seed must be in [0, 2**64)" in err and "Traceback" not in err
+
+
 def test_mc_trace_dump_matches_ensemble(capsys, tmp_path):
     code, out = run_cli(capsys, "mc", "--model", "a2", "--beta", "2", "--a", "0.5",
                         "--b", "0.7", "--n-traj", "8", "--n-iter", "12", "--seed", "4",

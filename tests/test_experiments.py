@@ -53,6 +53,9 @@ def test_mc_determinism():
 def test_mc_validation():
     with pytest.raises(ValueError):
         mc_convergence(NormalModel(), 0.5, 0.7, 1.0, s=0.5)
+    for sizes in (dict(n_traj=0), dict(n_iter=0), dict(n_iter=-1)):
+        with pytest.raises(ValueError, match="n_traj and n_iter must be >= 1"):
+            mc_convergence(NormalModel(), 0.5, 0.7, 1.0, **sizes)
 
 
 @pytest.mark.parametrize(
