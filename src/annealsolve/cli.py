@@ -190,6 +190,9 @@ def cmd_rate_curve(args) -> int:
     if not specs:
         raise ModelSpecError("--models must name at least one model")
     models = [parse_model_spec(tok.strip()) for tok in specs]
+    if not (math.isfinite(args.beta_min) and math.isfinite(args.beta_max)):
+        # an infinite endpoint would turn the linspace into NaNs
+        raise ValueError(f"beta range must be finite, got [{args.beta_min}, {args.beta_max}]")
     betas = np.linspace(args.beta_min, args.beta_max, args.beta_steps)
     points = rate_curve(
         models, betas,

@@ -12,8 +12,14 @@ negative, and E_max(beta) = max over a in [1/2, 1] of E(a, beta) is the
 pessimistic headline curve per model.
 
 Continuous models use a dense c-grid plus golden-section refinement and
-Gauss-Legendre quadrature in u; Boltzmann models are integrated exactly,
-piece by piece, over the breakpoints of their staircase quantiles.
+Gauss-Legendre quadrature in u.  The part of the quantile that depends on u
+alone (the standard normal quantile of the unbounded model) is computed once
+per node set and reused for every c.
+
+Boltzmann models are integrated exactly, piece by piece: r(u) is constant
+between the CDF levels of all grid laws.  Over the sorted piece midpoints,
+each grid law's quantile index is a staircase whose steps are found by one
+search of all CDF levels among the midpoints, not one search per law.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .sampler import (
     CorrectionModel,
     NormalModel,
     TruncNormalModel,
+    _U_CLIP,
     model_id,
     q_value,
 )
@@ -40,7 +47,6 @@ from .sampler import (
 LOG_FLOOR = 1e-300
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_U_CLIP = 1e-15  # mirrors the sampler's clamp for the unbounded normal model
 _GS_ITERS_C = 24
 _GS_ITERS_A = 14
 
@@ -63,6 +69,20 @@ class RatePoint:
     clamped: bool
 
 
+def _check_inputs(*, beta, a=None, a_steps=None, c_steps, gl_nodes=None) -> None:
+    """Reject rate inputs outside the contract; None marks an unused input.
+
+    Called once per public call, never per cell.
+    """
+    for name, value in (("a", a), ("beta", beta)):
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    counts = (("a_steps", a_steps, 1), ("c_steps", c_steps, 1), ("gl_nodes", gl_nodes, 2))
+    for name, value, least in counts:
+        if value is not None and value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 @lru_cache(maxsize=16)
 def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights mapped onto [0, 1]."""
@@ -70,17 +90,21 @@ def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _q_grid(model, u, c, a: float, beta: float):
-    """Correction quantile on broadcastable (u, c) arrays; scalar a, beta."""
+def _q_of_c(model, u, a: float, beta: float):
+    """Correction quantile at fixed nodes u as a function q(c); scalar a, beta.
+
+    Work that depends on u alone is done here, once per node set; q(c) takes
+    any c that broadcasts with u.
+    """
     if isinstance(model, NormalModel):
         sigma = 1.0 / (math.sqrt(2.0) * a * beta)
-        z = std_normal_quantile(np.clip(u, _U_CLIP, 1.0 - _U_CLIP))
-        return 1.0 / (a * c) + sigma * z
+        shift = sigma * std_normal_quantile(np.clip(u, _U_CLIP, 1.0 - _U_CLIP))
+        return lambda c: 1.0 / (a * c) + shift
     if isinstance(model, TruncNormalModel):
         sigma = 1.0 / (math.sqrt(2.0) * a * beta)
-        return trunc_normal_quantile_arrays(1.0 / (a * c), sigma, model.d1, model.d2, u)
+        return lambda c: trunc_normal_quantile_arrays(1.0 / (a * c), sigma, model.d1, model.d2, u)
     if callable(model):
-        return model(u, c, a, beta)
+        return lambda c: model(u, c, a, beta)
     raise TypeError(f"not a continuous correction model: {model!r}")
 
 
@@ -89,18 +113,20 @@ def _r_profile_continuous(
 ) -> np.ndarray:
     """r(u) for every node at once: dense c-grid, then per-u golden section."""
     c = np.linspace(1.0, 2.0, c_steps)
-    f = np.abs(1.0 - (c[:, None] * a) * _q_grid(model, u_nodes[None, :], c[:, None], a, beta))
+    q_grid = _q_of_c(model, u_nodes[None, :], a, beta)
+    f = np.abs(1.0 - (c[:, None] * a) * q_grid(c[:, None]))
     best = np.argmax(f, axis=0)
     r = f[best, np.arange(u_nodes.size)]
     if refine and c_steps > 2:
+        q = _q_of_c(model, u_nodes, a, beta)
         h = 1.0 / (c_steps - 1)
         lo = np.maximum(1.0, c[best] - h)
         hi = np.minimum(2.0, c[best] + h)
         for _ in range(_GS_ITERS_C):
             x1 = hi - _GOLDEN * (hi - lo)
             x2 = lo + _GOLDEN * (hi - lo)
-            f1 = np.abs(1.0 - (x1 * a) * _q_grid(model, u_nodes, x1, a, beta))
-            f2 = np.abs(1.0 - (x2 * a) * _q_grid(model, u_nodes, x2, a, beta))
+            f1 = np.abs(1.0 - (x1 * a) * q(x1))
+            f2 = np.abs(1.0 - (x2 * a) * q(x2))
             r = np.maximum(r, np.maximum(f1, f2))
             go_right = f1 < f2
             lo = np.where(go_right, x1, lo)
@@ -121,6 +147,7 @@ def r_func(
     """
     if not 0.0 <= u <= 1.0:
         raise ValueError("u must lie in [0, 1]")
+    _check_inputs(a=a, beta=beta, c_steps=c_steps)
     if isinstance(model, BoltzmannModel):
         c = np.linspace(1.0, 2.0, c_steps)
         q = q_value(model, u, c, a, beta)
@@ -128,20 +155,33 @@ def r_func(
     return float(_r_profile_continuous(model, np.array([u]), a, beta, c_steps, refine)[0])
 
 
-def _E_boltzmann(model: BoltzmannModel, a: float, beta: float, c_steps: int) -> tuple[float, bool]:
-    """Exact E: r(u) is constant between the CDF levels of all grid laws."""
+def _boltzmann_pieces(
+    model: BoltzmannModel, a: float, beta: float, c_steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(length, r) of each u-piece between the CDF levels of all grid laws."""
     support = model.support()
     c = np.linspace(1.0, 2.0, c_steps)
     cdf = boltzmann_cdf_rows(support, 1.0 / c, a, beta)
-    levels = np.unique(np.concatenate([cdf[:, :-1].ravel(), (0.0, 1.0)]))
+    inner = cdf[:, :-1]
+    levels = np.unique(np.concatenate([inner.ravel(), (0.0, 1.0)]))
     levels = levels[(levels >= 0.0) & (levels <= 1.0)]
     mids = 0.5 * (levels[1:] + levels[:-1])
     lengths = np.diff(levels)
+    # row j's quantile index at mids[i] is #{k : cdf[j, k] < mids[i]} (the
+    # last level is 1 and never counts); rows are nondecreasing, so over the
+    # sorted mids support index k fills the run ends[j, k-1] <= i < ends[j, k]
+    ends = np.searchsorted(mids, inner, side="right")
+    counts = np.diff(ends, prepend=0, append=mids.size, axis=1)
+    vals = np.abs(1.0 - (c[:, None] * a) * support)
     r = np.zeros(mids.size)
-    last = support.size - 1
     for j in range(c_steps):
-        idx = np.minimum(np.searchsorted(cdf[j], mids, side="left"), last)
-        np.maximum(r, np.abs(1.0 - (c[j] * a) * support[idx]), out=r)
+        np.maximum(r, np.repeat(vals[j], counts[j]), out=r)
+    return lengths, r
+
+
+def _E_boltzmann(model: BoltzmannModel, a: float, beta: float, c_steps: int) -> tuple[float, bool]:
+    """Exact E: r(u) is constant on each piece."""
+    lengths, r = _boltzmann_pieces(model, a, beta, c_steps)
     clamped = bool(np.any(r < LOG_FLOOR))
     return float(lengths @ np.log(np.maximum(r, LOG_FLOOR))), clamped
 
@@ -220,10 +260,7 @@ def E_func(
     and raises if the two values differ by more than 1e-4; Boltzmann models
     are exact and ignore the quadrature options.
     """
-    if not a > 0.0:
-        raise ValueError(f"a must be positive, got {a}")
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    _check_inputs(a=a, beta=beta, c_steps=c_steps, gl_nodes=gl_nodes)
     return _E_with_flag(model, a, beta, c_steps, gl_nodes, refine, check)[0]
 
 
@@ -274,8 +311,7 @@ def E_max(
     Dense grid plus golden-section refinement around the best cell; a
     negative value certifies convergence for every grid coefficient.
     """
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    _check_inputs(beta=beta, a_steps=a_steps, c_steps=c_steps, gl_nodes=gl_nodes)
     return _E_max_flag(model, beta, a_steps, c_steps, gl_nodes, refine)[0]
 
 
@@ -293,6 +329,8 @@ def rate_curve(
     if not models:
         raise ValueError("model list is empty")
     betas = [float(b) for b in betas]
+    for beta in betas:
+        _check_inputs(beta=beta, a_steps=a_steps, c_steps=c_steps, gl_nodes=gl_nodes)
 
     def ident(model) -> str:
         if callable(model) and not isinstance(model, CorrectionModel):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import annealsolve
 from annealsolve import import_qubo
 from annealsolve.cli import main, parse_model_spec
 from annealsolve.sampler import BoltzmannModel, NormalModel, TruncNormalModel
@@ -131,6 +136,32 @@ def test_rate_curve_cardinality_and_threads(capsys):
     code, out2 = run_cli(capsys, *argv, "--threads", "3")
     rows2 = data_lines(out2)
     assert rows2 == [r for r in rows]
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--beta-min", "-1"), ("--beta-min", "nan"), ("--beta-max", "inf"),
+    ("--c-steps", "0"), ("--a-steps", "0"), ("--gl-nodes", "0"),
+])
+def test_rate_curve_bad_inputs_exit_1(capsys, flag, value):
+    argv = ["rate-curve", "--models", "a4,boltzmann:positive:r=0:p=1", "--beta-min", "1",
+            "--beta-max", "2", "--beta-steps", "2", "--a-steps", "3", "--c-steps", "5",
+            "--gl-nodes", "8"]
+    argv[argv.index(flag) + 1] = value
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "error:" in captured.err and "Traceback" not in captured.err
+
+
+def test_python_m_annealsolve_runs_the_cli(capsys):
+    argv = ["solve", "--a", "0.5", "--b", "0.7", "--beta", "2", "--model", "a2",
+            "--seed", "1", "--max-iter", "5"]
+    env = dict(os.environ, PYTHONPATH=str(Path(annealsolve.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "annealsolve", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_cli(capsys, *argv)[1]
 
 
 def test_rate_curve_empty_models_exits_2():

@@ -12,12 +12,23 @@ from annealsolve import (
     SupportKind,
     mc_convergence,
     preset,
+    q_value,
     r_func,
     rate_curve,
     rate_points_to_csv,
 )
 from annealsolve import rng
-from annealsolve.rate import LOG_FLOOR, RATE_CSV_COLUMNS, _r_profile_continuous
+from annealsolve.dist import boltzmann_cdf_rows
+from annealsolve.rate import (
+    _GOLDEN,
+    _GS_ITERS_C,
+    LOG_FLOOR,
+    RATE_CSV_COLUMNS,
+    _boltzmann_pieces,
+    _E_boltzmann,
+    _gl_rule,
+    _r_profile_continuous,
+)
 
 POS01 = BoltzmannModel(SupportKind.POSITIVE, BitRange(0, 1))
 POS21 = BoltzmannModel(SupportKind.POSITIVE, BitRange(-2, 1))
@@ -62,6 +73,71 @@ def test_r_boltzmann_uses_grid_only():
 
     q = q_value(POS21, 0.37, c, 0.7, 2.0)
     assert r == np.abs(1.0 - c * 0.7 * q).max()
+
+
+def boltzmann_pieces_row_search(model, a, beta, c_steps):
+    """Reference: one searchsorted of every piece midpoint per c-row."""
+    support = model.support()
+    c = np.linspace(1.0, 2.0, c_steps)
+    cdf = boltzmann_cdf_rows(support, 1.0 / c, a, beta)
+    levels = np.unique(np.concatenate([cdf[:, :-1].ravel(), (0.0, 1.0)]))
+    levels = levels[(levels >= 0.0) & (levels <= 1.0)]
+    mids = 0.5 * (levels[1:] + levels[:-1])
+    r = np.zeros(mids.size)
+    for j in range(c_steps):
+        idx = np.minimum(np.searchsorted(cdf[j], mids, side="left"), support.size - 1)
+        np.maximum(r, np.abs(1.0 - (c[j] * a) * support[idx]), out=r)
+    return np.diff(levels), r
+
+
+@pytest.mark.parametrize("kind", [SupportKind.POSITIVE, SupportKind.SIGNED_SYMMETRIC])
+@pytest.mark.parametrize("r", [0, -2, -5])
+def test_E_boltzmann_staircase_matches_row_search(kind, r):
+    # at beta = 40 some midpoints tie with a CDF level (adjacent floats), so
+    # the r comparison also checks the tie rule of the staircase
+    model = BoltzmannModel(kind, BitRange(r, 1))
+    for beta in (0.05, 2.0, 40.0):
+        for c_steps in (1, 2, 17, 257):
+            # 0.5, 0.75 and 1 lie on the default a-grid, 0.7 does not
+            for a in (0.5, 0.7, 0.75, 1.0):
+                lengths, r_ref = boltzmann_pieces_row_search(model, a, beta, c_steps)
+                got_lengths, got_r = _boltzmann_pieces(model, a, beta, c_steps)
+                np.testing.assert_array_equal(got_lengths, lengths)
+                np.testing.assert_array_equal(got_r, r_ref)
+                e_ref = float(lengths @ np.log(np.maximum(r_ref, LOG_FLOOR)))
+                clamped_ref = bool(np.any(r_ref < LOG_FLOOR))
+                assert _E_boltzmann(model, a, beta, c_steps) == (e_ref, clamped_ref)
+
+
+def r_profile_q_value(model, u, a, beta, c_steps):
+    """Reference profile that calls q_value afresh at every grid and golden-section point."""
+    c = np.linspace(1.0, 2.0, c_steps)
+    f = np.abs(1.0 - (c[:, None] * a) * q_value(model, u[None, :], c[:, None], a, beta))
+    best = np.argmax(f, axis=0)
+    r = f[best, np.arange(u.size)]
+    h = 1.0 / (c_steps - 1)
+    lo = np.maximum(1.0, c[best] - h)
+    hi = np.minimum(2.0, c[best] + h)
+    for _ in range(_GS_ITERS_C):
+        x1 = hi - _GOLDEN * (hi - lo)
+        x2 = lo + _GOLDEN * (hi - lo)
+        f1 = np.abs(1.0 - (x1 * a) * q_value(model, u, x1, a, beta))
+        f2 = np.abs(1.0 - (x2 * a) * q_value(model, u, x2, a, beta))
+        r = np.maximum(r, np.maximum(f1, f2))
+        go_right = f1 < f2
+        lo = np.where(go_right, x1, lo)
+        hi = np.where(go_right, hi, x2)
+    return r
+
+
+@pytest.mark.parametrize("model", [NormalModel(), preset("a2")], ids=["normal", "a2"])
+def test_r_profile_matches_q_value_reference(model):
+    u = np.concatenate([(0.0, 1.0), _gl_rule(64)[0]])
+    for beta in (0.05, 2.0, 40.0):
+        for a in (0.5, 0.83):
+            for c_steps in (3, 17, 257):
+                got = _r_profile_continuous(model, u, a, beta, c_steps, True)
+                np.testing.assert_array_equal(got, r_profile_q_value(model, u, a, beta, c_steps))
 
 
 def test_E_negative_for_conservative_model():
@@ -115,6 +191,31 @@ def test_E_validation():
         E_func(preset("a1"), 0.7, -1.0)
     with pytest.raises(ValueError):
         E_max(preset("a1"), 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: E_func(preset("a1"), math.inf, 1.0),
+    lambda: E_func(preset("a1"), math.nan, 1.0),
+    lambda: E_func(NormalModel(), 0.7, math.inf),
+    lambda: E_func(preset("a1"), 0.7, math.nan),
+    lambda: E_func(POS21, 0.7, 1.0, c_steps=0),
+    lambda: E_func(preset("a1"), 0.7, 1.0, gl_nodes=1),
+    lambda: E_max(NormalModel(), math.inf),
+    lambda: E_max(preset("a1"), 1.0, a_steps=0),
+    lambda: E_max(POS21, 1.0, c_steps=0),
+    lambda: E_max(preset("a1"), 1.0, gl_nodes=0),
+    lambda: r_func(preset("a1"), 0.5, math.inf, 1.0),
+    lambda: r_func(preset("a1"), 0.5, 0.7, -1.0),
+    lambda: r_func(POS21, 0.5, 0.7, 1.0, c_steps=0),
+    lambda: rate_curve([preset("a4")], [1.0, -1.0]),
+    lambda: rate_curve([preset("a4")], [math.nan]),
+    lambda: rate_curve([POS21], [1.0], c_steps=0),
+    lambda: rate_curve([preset("a4")], [1.0], a_steps=0),
+    lambda: rate_curve([preset("a4")], [1.0], gl_nodes=1),
+])
+def test_rate_inputs_outside_contract_raise(call):
+    with pytest.raises(ValueError, match="finite and positive|must be at least"):
+        call()
 
 
 def test_rate_functional_bounds_observed_slope():
