@@ -193,6 +193,8 @@ def cmd_rate_curve(args) -> int:
     if not (math.isfinite(args.beta_min) and math.isfinite(args.beta_max)):
         # an infinite endpoint would turn the linspace into NaNs
         raise ValueError(f"beta range must be finite, got [{args.beta_min}, {args.beta_max}]")
+    if args.beta_steps < 1:
+        raise ValueError(f"--beta-steps must be at least 1, got {args.beta_steps}")
     betas = np.linspace(args.beta_min, args.beta_max, args.beta_steps)
     points = rate_curve(
         models, betas,

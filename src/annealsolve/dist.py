@@ -18,6 +18,13 @@ import scipy.special as sc
 # far into a tail saturate instead of overflowing.
 ERFINV_ARG_MAX = 1.0 - 1e-16
 
+# Below this many targets one strided cumsum down the support axis beats a
+# Python loop of one row add per support point; both sum sequentially, so
+# they agree bit for bit.  At 4-64 support points the two cost the same near
+# 256 targets (16 points: cumsum 3 us vs row adds 26 us at 1 target, 49 vs
+# 25 us at 512).
+_ROW_ADD_MIN_TARGETS = 256
+
 _SQRT2 = float(np.sqrt(2.0))
 _SQRT2PI = float(np.sqrt(2.0 * np.pi))
 
@@ -63,15 +70,31 @@ def boltzmann_cdf_rows(support, targets, a: float, beta: float) -> np.ndarray:
 
     Row ``k`` is the CDF over ``support`` for energy ``(a*v - targets[k])^2``.
     Shared by the sampler and the rate machinery, which sweep targets 1/c.
+
+    The work is done support-major, in a contiguous (support, targets)
+    array, and the result is its transposed view: each step is a whole-array
+    operation or a row add over all targets, never a reduction along a short
+    row.  Every element goes through the same float operations in the same
+    order as a row-by-row computation (the running sum is sequential, by a
+    cumsum down the support axis for few targets and by row adds
+    otherwise), so the values are the same bit for bit; callers that want
+    the support-major layout take ``.T``.
     """
     support = np.asarray(support, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    h = (a * support[None, :] - targets[:, None]) ** 2
-    w = np.exp(-(beta * beta) * (h - h.min(axis=1, keepdims=True)))
-    cdf = np.cumsum(w, axis=1)
-    cdf /= cdf[:, -1:].copy()
-    cdf[:, -1] = 1.0
-    return cdf
+    h = a * support[:, None] - targets
+    np.square(h, out=h)
+    h -= h.min(axis=0)
+    h *= -(beta * beta)
+    np.exp(h, out=h)
+    if h.shape[1] < _ROW_ADD_MIN_TARGETS:
+        np.cumsum(h, axis=0, out=h)
+    else:
+        for k in range(1, h.shape[0]):
+            h[k] += h[k - 1]
+    h[:-1] /= h[-1]
+    h[-1] = 1.0
+    return h.T
 
 
 def quantile(dist: DiscreteDist, u):

@@ -19,7 +19,7 @@ import scipy.special as sc
 from . import rng
 from .dist import boltzmann_dist
 from .encoding import BitRange, SupportKind, SupportSpec, enumerate_support
-from .sampler import CorrectionModel, NormalModel, q_value
+from .sampler import CorrectionModel, NormalModel, check_finite_positive, q_value
 from .solver import normalize, residual_exponent_array
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -90,6 +90,7 @@ def mc_convergence(
         raise ValueError(f"s must be >= 1, got {s}")
     if n_traj < 1 or n_iter < 1:
         raise ValueError(f"n_traj and n_iter must be >= 1, got {n_traj} and {n_iter}")
+    check_finite_positive("beta", beta)
     inst = normalize(a, b)
     l0_zero = isinstance(model, NormalModel)
     u = rng.uniform_matrix(seed, n_traj, n_iter)

@@ -11,8 +11,9 @@ u in [0, 1] certifies almost-sure convergence to b/a whenever it is
 negative, and E_max(beta) = max over a in [1/2, 1] of E(a, beta) is the
 pessimistic headline curve per model.
 
-Continuous models use a dense c-grid plus golden-section refinement and
-Gauss-Legendre quadrature in u.  The part of the quantile that depends on u
+Continuous models use a dense c-grid plus golden-section refinement (not
+for the normal model, whose maximand is linear in c) and Gauss-Legendre
+quadrature in u.  The part of the quantile that depends on u
 alone (the standard normal quantile of the unbounded model) is computed once
 per node set and reused for every c.
 
@@ -38,6 +39,7 @@ from .sampler import (
     NormalModel,
     TruncNormalModel,
     _U_CLIP,
+    check_finite_positive,
     model_id,
     q_value,
 )
@@ -75,8 +77,8 @@ def _check_inputs(*, beta, a=None, a_steps=None, c_steps, gl_nodes=None) -> None
     Called once per public call, never per cell.
     """
     for name, value in (("a", a), ("beta", beta)):
-        if value is not None and not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+        if value is not None:
+            check_finite_positive(name, value)
     counts = (("a_steps", a_steps, 1), ("c_steps", c_steps, 1), ("gl_nodes", gl_nodes, 2))
     for name, value, least in counts:
         if value is not None and value < least:
@@ -117,7 +119,9 @@ def _r_profile_continuous(
     f = np.abs(1.0 - (c[:, None] * a) * q_grid(c[:, None]))
     best = np.argmax(f, axis=0)
     r = f[best, np.arange(u_nodes.size)]
-    if refine and c_steps > 2:
+    # the normal maximand |1 - c a (1/(a c) + s)| = c a |s| is linear in c,
+    # so the grid endpoint c = 2 is already the maximum
+    if refine and c_steps > 2 and not isinstance(model, NormalModel):
         q = _q_of_c(model, u_nodes, a, beta)
         h = 1.0 / (c_steps - 1)
         lo = np.maximum(1.0, c[best] - h)

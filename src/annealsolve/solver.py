@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rng
 from .exceptions import DegenerateProblemError
-from .sampler import CorrectionModel, model_id, q_value
+from .sampler import CorrectionModel, check_finite_positive, model_id, q_value
 
 TRACE_COLUMNS = ("n", "x", "residual", "l", "c", "eta", "delta", "multiplier")
 
@@ -49,6 +49,8 @@ class ProblemInstance:
 
 def normalize(a0: float, b0: float) -> ProblemInstance:
     """Rescale (a0, b0) by a power of two (and a sign flip for a0 < 0)."""
+    if not (math.isfinite(a0) and math.isfinite(b0)):
+        raise ValueError(f"a and b must be finite, got a={a0}, b={b0}")
     if a0 == 0.0:
         raise DegenerateProblemError("a = 0 leaves no equation to solve")
     if a0 < 0.0:
@@ -192,6 +194,8 @@ def solve(
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if tol < 0.0:
         raise ValueError(f"tol must be >= 0, got {tol}")
+    check_finite_positive("a", inst.a)
+    check_finite_positive("beta", beta)
     etas = rng.uniforms(seed, max_iter, stream)
 
     xs = [0.0]

@@ -154,6 +154,45 @@ def test_rate_curve_bad_inputs_exit_1(capsys, flag, value):
     assert "error:" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_rate_curve_beta_steps_below_1_exit_1(capsys, steps):
+    code = main(["rate-curve", "--models", "a4", "--beta-min", "1", "--beta-max", "2",
+                 "--beta-steps", steps])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"--beta-steps must be at least 1, got {steps}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc", "--model", "boltzmann:positive:r=-1:p=1", "--n-traj", "10"],
+    ["mc", "--model", "normal", "--n-traj", "10"],
+    ["solve", "--a", "0.5", "--b", "0.7", "--model", "a2"],
+])
+@pytest.mark.parametrize("beta", ["inf", "nan", "0"])
+def test_beta_outside_contract_exits_1(capsys, argv, beta):
+    code = main([*argv, "--beta", beta])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "beta must be finite and positive" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--a", "0.5", "--b", "nan", "--beta", "2", "--model", "a2"],
+    ["solve", "--a", "inf", "--b", "0.7", "--beta", "2", "--model", "a2"],
+    ["mc", "--model", "a2", "--b", "inf", "--beta", "2", "--n-traj", "10"],
+])
+def test_non_finite_equation_exits_1(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "a and b must be finite" in captured.err and "Traceback" not in captured.err
+
+
 def test_python_m_annealsolve_runs_the_cli(capsys):
     argv = ["solve", "--a", "0.5", "--b", "0.7", "--beta", "2", "--model", "a2",
             "--seed", "1", "--max-iter", "5"]

@@ -130,6 +130,20 @@ def r_profile_q_value(model, u, a, beta, c_steps):
     return r
 
 
+def test_normal_profile_equals_refined_profile():
+    # the normal profile skips golden-section refinement; on the nodes every
+    # E evaluation uses (the full rule and the halves of a dip split) the
+    # refined reference finds nothing above the grid maximum
+    model = NormalModel()
+    full, half = _gl_rule(256)[0], _gl_rule(128)[0]
+    u = np.concatenate([full, 0.5 * half, 0.5 + 0.5 * half, 0.37 * half])
+    for beta in (0.05, 0.5, 2.0, 7.0, 40.0):
+        for a in (0.5, 0.77, 1.0):
+            for c_steps in (3, 17, 257):
+                got = _r_profile_continuous(model, u, a, beta, c_steps, True)
+                np.testing.assert_array_equal(got, r_profile_q_value(model, u, a, beta, c_steps))
+
+
 @pytest.mark.parametrize("model", [NormalModel(), preset("a2")], ids=["normal", "a2"])
 def test_r_profile_matches_q_value_reference(model):
     u = np.concatenate([(0.0, 1.0), _gl_rule(64)[0]])

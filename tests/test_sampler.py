@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annealsolve import (
     BitRange,
@@ -10,12 +12,14 @@ from annealsolve import (
     SupportKind,
     TruncNormalModel,
     boltzmann_dist,
+    mc_convergence,
     model_id,
     preset,
     q_value,
     quantile,
 )
-from annealsolve import rng
+from annealsolve import rng, sampler
+from annealsolve.dist import boltzmann_cdf_rows
 from helpers import chisq_pvalue, trunc_normal_quantile_oracle
 
 POS21 = BoltzmannModel(SupportKind.POSITIVE, BitRange(-2, 1))
@@ -161,3 +165,128 @@ def test_chi_square_against_exact_pmf():
     d = boltzmann_dist(beta, model.support(), 1.0 / c, a)
     counts = np.array([(values == v).sum() for v in d.support])
     assert chisq_pvalue(counts, d.pmf) > 0.01
+
+
+def cdf_rows_row_major(support, targets, a, beta):
+    """Oracle: the (targets, support) CDF matrix computed row by row."""
+    h = (a * support[None, :] - targets[:, None]) ** 2
+    w = np.exp(-(beta * beta) * (h - h.min(axis=1, keepdims=True)))
+    cdf = np.cumsum(w, axis=1)
+    cdf /= cdf[:, -1:].copy()
+    cdf[:, -1] = 1.0
+    return cdf
+
+
+def boltzmann_q_row_major(support, u, c, a, beta):
+    """Oracle: count the CDF levels below u along each row of one untiled matrix."""
+    u_b, c_b = np.broadcast_arrays(np.asarray(u, float), np.asarray(c, float))
+    u_flat = u_b.ravel()
+    cdf = cdf_rows_row_major(support, 1.0 / c_b.ravel(), a, beta)
+    idx = (cdf < u_flat[:, None]).sum(axis=1)
+    idx = np.where(u_flat == 0.0, (cdf <= 0.0).sum(axis=1), idx)
+    return support[idx].reshape(u_b.shape)
+
+
+# positive and signed registers of 2 to 64 points
+EXACT_MODELS = [
+    BoltzmannModel(kind, BitRange(r, 1))
+    for kind, rs in (
+        (SupportKind.POSITIVE, (0, -3, -5)),
+        (SupportKind.SIGNED_SYMMETRIC, (-1, -2, -4)),
+    )
+    for r in rs
+]
+
+
+@pytest.mark.parametrize("model", EXACT_MODELS, ids=model_id)
+def test_boltzmann_tiles_match_row_major_oracle(model):
+    support = model.support()
+    tile = sampler._MAX_CELLS // support.size
+    gen = np.random.default_rng(support.size)
+    for beta in (0.05, 2.0, 40.0, 300.0):
+        # 255 and 256 draws sit on either side of the running-sum switch
+        for n in (1, 255, 256, tile - 1, tile, tile + 1, 3 * tile + 7):
+            u = gen.random(n)
+            u[: min(n, 2)] = (0.0, 1.0)[: min(n, 2)]
+            c = 1.0 + gen.random(n)
+            c[-1] = 2.0
+            got = sampler._boltzmann_q(support, u, c, 0.73, beta)
+            np.testing.assert_array_equal(got, boltzmann_q_row_major(support, u, c, 0.73, beta))
+            if n <= tile + 1:
+                np.testing.assert_array_equal(
+                    boltzmann_cdf_rows(support, 1.0 / c, 0.73, beta),
+                    cdf_rows_row_major(support, 1.0 / c, 0.73, beta),
+                )
+
+
+@pytest.mark.parametrize("spec", [(SupportKind.SIGNED_SYMMETRIC, -2), (SupportKind.POSITIVE, -3)])
+def test_mc_convergence_matches_row_major_kernel(spec, monkeypatch):
+    # the two Boltzmann models of the benchmark's Monte Carlo ensemble; 9000
+    # trajectories span two tile edges at every step
+    model = BoltzmannModel(spec[0], BitRange(spec[1], 1))
+    for beta in (0.4, 2.5):
+        got = mc_convergence(model, 0.7, 0.3, beta, n_traj=9000, n_iter=40, seed=3)
+        with monkeypatch.context() as patch:
+            patch.setattr(sampler, "_boltzmann_q", boltzmann_q_row_major)
+            ref = mc_convergence(model, 0.7, 0.3, beta, n_traj=9000, n_iter=40, seed=3)
+        np.testing.assert_array_equal(got.median_log_error, ref.median_log_error)
+        assert (got.slope, got.diverged_fraction, got.s_scaled_outcome) == (
+            ref.slope, ref.diverged_fraction, ref.s_scaled_outcome,
+        )
+
+
+ALL_MODELS = [NormalModel(), *(preset(f"a{k}") for k in range(1, 5)), POS21, SYM11]
+units = st.floats(0.0, 1.0)
+scales = st.floats(0.5, 1.0)
+betas = st.floats(0.05, 40.0)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=model_id)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(u=units, c=st.floats(1.0, 2.0), a=scales, beta=betas)
+def test_nan_u_and_c_are_rejected(model, u, c, a, beta):
+    with pytest.raises(ValueError, match="u must lie"):
+        q_value(model, math.nan, c, a, beta)
+    with pytest.raises(ValueError, match="u must lie"):
+        q_value(model, np.array([u, math.nan]), c, a, beta)
+    with pytest.raises(ValueError, match="c must be positive"):
+        q_value(model, u, math.nan, a, beta)
+    with pytest.raises(ValueError, match="c must be positive"):
+        q_value(model, u, np.array([c, math.nan]), a, beta)
+
+
+# the continuous kernels round: between adjacent floats u the normal
+# quantile was seen to step back by up to 6 ulp of max(1, |q|), the
+# truncated normal by 2 ulp; Boltzmann draws are exactly monotone
+MONOTONE_ULPS = {NormalModel: 8, TruncNormalModel: 8, BoltzmannModel: 0}
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=model_id)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(u1=units, u2=units, c=st.floats(1.0, 2.0), a=scales, beta=betas)
+def test_q_value_monotone_in_u_property(model, u1, u2, c, a, beta):
+    lo, hi = min(u1, u2), max(u1, u2)
+    q_lo, q_hi = q_value(model, lo, c, a, beta), q_value(model, hi, c, a, beta)
+    assert q_lo <= q_hi + MONOTONE_ULPS[type(model)] * np.spacing(max(1.0, abs(q_hi)))
+
+
+@pytest.mark.xfail(strict=True, reason="erf-based truncated quantile loses precision when "
+                   "both interval ends lie many sigmas into one tail")
+def test_a4_deep_tail_monotone_in_u():
+    # mu = 1/(a c) = 1.70 sits 6 and 10.5 sigmas above a4's interval (1/2, 1);
+    # erf is -1 + 1e-9 and -1 at the two ends, so the erfinv argument
+    # carries ~7 significant digits and q steps back by 6e-9 between
+    # adjacent floats u
+    u = 0.3412149163770477 + np.arange(-300, 300) * np.spacing(0.3412149163770477)
+    q = q_value(preset("a4"), u, 1.038969139121158, 0.5668134028632025, 10.936072903736195)
+    assert np.all(np.diff(q) >= -8 * np.spacing(1.0))
+
+
+@pytest.mark.parametrize("a,beta", [
+    (math.inf, 1.0), (math.nan, 1.0), (0.0, 1.0),
+    (0.7, math.inf), (0.7, math.nan), (0.7, -1.0),
+])
+@pytest.mark.parametrize("model", [NormalModel(), preset("a2"), POS21], ids=model_id)
+def test_q_value_rejects_scales_outside_contract(model, a, beta):
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        q_value(model, 0.5, 1.5, a, beta)

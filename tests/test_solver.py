@@ -37,6 +37,14 @@ def test_normalize_preserves_solution_exactly():
         assert inst.b / inst.a == b0 / a0
 
 
+@pytest.mark.parametrize(
+    "a0,b0", [(math.inf, 1.0), (math.nan, 1.0), (0.5, math.inf), (0.5, math.nan)]
+)
+def test_normalize_rejects_non_finite(a0, b0):
+    with pytest.raises(ValueError, match="a and b must be finite"):
+        normalize(a0, b0)
+
+
 def test_normalize_rejects_zero():
     with pytest.raises(DegenerateProblemError):
         normalize(0.0, 1.0)
