@@ -123,14 +123,14 @@ def _config(args: argparse.Namespace) -> dict:
 def _csv_header(args: argparse.Namespace) -> str:
     return (
         f"# annealsolve {__version__}\n"
-        f"# config {json.dumps(_config(args), sort_keys=True)}\n"
+        f"# config {json.dumps(_config(args), sort_keys=True, allow_nan=False)}\n"
     )
 
 
 def _json_doc(args: argparse.Namespace, payload: dict) -> str:
     doc = {"annealsolve": __version__, "config": _config(args)}
     doc.update(payload)
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _jsonable(value):
@@ -140,7 +140,7 @@ def _jsonable(value):
 
 
 def cmd_solve(args) -> int:
-    model = _model_from_flags(args)
+    model = parse_model_spec(args.model)
     inst = normalize(args.a, args.b)
     trace = solve(
         inst, model, beta=args.beta, seed=args.seed, max_iter=args.max_iter,
@@ -152,19 +152,6 @@ def cmd_solve(args) -> int:
     )
     _emit(header + trace.to_csv(), args.out)
     return 0
-
-
-def _model_from_flags(args) -> CorrectionModel:
-    name = args.model.lower()
-    if name == "normal":
-        return NormalModel()
-    if name in PRESETS:
-        return PRESETS[name]
-    if name == "boltzmann":
-        if args.kind is None or args.r is None or args.p is None:
-            raise ModelSpecError("--model boltzmann requires --kind, --r and --p")
-        return BoltzmannModel(_KINDS[args.kind], BitRange(args.r, args.p))
-    raise ModelSpecError(f"unknown model {args.model!r}")
 
 
 def cmd_qubo(args) -> int:
@@ -309,13 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--a", type=float, required=True)
     p_solve.add_argument("--b", type=float, required=True)
     p_solve.add_argument("--beta", type=float, required=True)
-    p_solve.add_argument(
-        "--model", required=True,
-        help="normal | a1 | a2 | a3 | a4 | boltzmann (with --kind --r --p)",
-    )
-    p_solve.add_argument("--kind", choices=sorted(_KINDS))
-    p_solve.add_argument("--r", type=int)
-    p_solve.add_argument("--p", type=int)
+    p_solve.add_argument("--model", required=True,
+                         help="model spec, e.g. a2 or boltzmann:positive:r=-3:p=1")
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--max-iter", type=int, default=50)
     p_solve.add_argument("--tol", type=float, default=0.0)

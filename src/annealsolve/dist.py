@@ -26,7 +26,6 @@ ERFINV_ARG_MAX = 1.0 - 1e-16
 _ROW_ADD_MIN_TARGETS = 256
 
 _SQRT2 = float(np.sqrt(2.0))
-_SQRT2PI = float(np.sqrt(2.0 * np.pi))
 
 
 @dataclass(frozen=True)
@@ -133,76 +132,13 @@ def erfinv(y):
     return float(out) if np.isscalar(y) else out
 
 
-# Acklam's rational approximation of the standard normal quantile; the three
-# branches cover the lower tail, the central bulk, and the upper tail.
-_P_LOW = 0.02425
-_ACKLAM_A = (
-    -3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-    1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-    6.680131188771972e01, -1.328068155288572e01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-    -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-    3.754408661907416e00,
-)
-
-
-def _acklam_tail(q: np.ndarray) -> np.ndarray:
-    c1, c2, c3, c4, c5, c6 = _ACKLAM_C
-    d1, d2, d3, d4 = _ACKLAM_D
-    num = ((((c1 * q + c2) * q + c3) * q + c4) * q + c5) * q + c6
-    den = (((d1 * q + d2) * q + d3) * q + d4) * q + 1.0
-    return num / den
-
-
-def std_normal_quantile(u, refine: bool = True):
-    """Standard normal quantile Phi^{-1}(u) for u in (0, 1).
-
-    Rational approximation (abs error ~1e-9) plus one optional Halley
-    refinement step against the erf-based CDF, which brings the error to the
-    rounding level.
-    """
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
+def std_normal_quantile(u):
+    """Standard normal quantile Phi^{-1}(u) for u in (0, 1), by scipy's ndtri."""
+    u_arr = np.asarray(u, dtype=float)
     if np.any((u_arr <= 0.0) | (u_arr >= 1.0)):
         raise ValueError("u must lie strictly inside (0, 1)")
-
-    # work in the lower half, where the erfc-based CDF is tail-stable; the
-    # complement 1 - u is exact for u >= 1/2
-    flip = u_arr > 0.5
-    v = np.where(flip, 1.0 - u_arr, u_arr)
-
-    x = np.empty_like(v)
-    lo = v < _P_LOW
-    if np.any(lo):
-        x[lo] = _acklam_tail(np.sqrt(-2.0 * np.log(v[lo])))
-    mid = ~lo
-    if np.any(mid):
-        a1, a2, a3, a4, a5, a6 = _ACKLAM_A
-        b1, b2, b3, b4, b5 = _ACKLAM_B
-        q = v[mid] - 0.5
-        r = q * q
-        num = (((((a1 * r + a2) * r + a3) * r + a4) * r + a5) * r + a6) * q
-        den = ((((b1 * r + b2) * r + b3) * r + b4) * r + b5) * r + 1.0
-        x[mid] = num / den
-
-    if refine:
-        # one Halley step; skipped in the extreme tail where exp(x^2/2)
-        # would overflow (the raw approximation is already ~1e-9 there)
-        safe = x * x < 600.0
-        xs = x[safe]
-        err = 0.5 * sc.erfc(-xs / _SQRT2) - v[safe]
-        step = err * _SQRT2PI * np.exp(0.5 * xs * xs)
-        x[safe] = xs - step / (1.0 + 0.5 * xs * step)
-
-    x = np.where(flip, -x, x)
-    return float(x[0]) if np.isscalar(u) else x.reshape(np.shape(u))
+    out = sc.ndtri(u_arr)
+    return float(out) if np.isscalar(u) else out
 
 
 @dataclass(frozen=True)

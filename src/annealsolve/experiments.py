@@ -19,8 +19,10 @@ import scipy.special as sc
 from . import rng
 from .dist import boltzmann_dist
 from .encoding import BitRange, SupportKind, SupportSpec, enumerate_support
-from .sampler import CorrectionModel, NormalModel, check_finite_positive, q_value
-from .solver import normalize, residual_exponent_array
+from .sampler import CorrectionModel, NormalModel, check_finite_positive
+# imported only so the benchmark's trace hooks can rebind it here
+from .sampler import q_value  # noqa: F401
+from .solver import _advance, normalize
 
 EULER_GAMMA = float(np.euler_gamma)
 # closed form of E ln|xi| for a standard normal xi
@@ -86,7 +88,7 @@ def mc_convergence(
     is to-zero / to-infinity when the final median |s^n (x_n - b/a)| is below
     1e-6 / above 1e+6 times the initial error, inconclusive otherwise.
     """
-    if s < 1.0:
+    if not s >= 1.0:
         raise ValueError(f"s must be >= 1, got {s}")
     if n_traj < 1 or n_iter < 1:
         raise ValueError(f"n_traj and n_iter must be >= 1, got {n_traj} and {n_iter}")
@@ -105,14 +107,7 @@ def mc_convergence(
         res = inst.b - inst.a * x
         active = ~frozen & (res != 0.0)
         if np.any(active):
-            res_act = res[active]
-            if l0_zero and n == 0:
-                l = np.zeros(res_act.size, dtype=int)
-            else:
-                l = residual_exponent_array(res_act)
-            c = 1.0 / np.ldexp(np.abs(res_act), l)
-            q = q_value(model, u[active, n], c, inst.a, beta)
-            x[active] += np.ldexp(np.sign(res_act) * q, -l)
+            x[active] = _advance(x[active], inst, model, beta, u[active, n], l0_zero and n == 0)[0]
         abs_x = np.abs(x)
         diverged |= abs_x > DIVERGENCE_THRESHOLD
         frozen |= abs_x > _FREEZE_AT
@@ -162,6 +157,23 @@ def ks_discrete_vs_continuous(support, pmf, continuous_cdf: np.ndarray) -> float
     )
 
 
+def _trunc_normal_cdf(x, mu: float, sigma: float, d1: float, d2: float) -> np.ndarray:
+    """CDF of N(mu, sigma^2) conditioned on [d1, d2], for x in [d1, d2].
+
+    Formed from log tail masses on the interval's side of mu, so intervals
+    far out in a tail keep their precision instead of cancelling to 0/0.
+    """
+    t1, t2 = (d1 - mu) / sigma, (d2 - mu) / sigma
+    t = (np.asarray(x, dtype=float) - mu) / sigma
+    if t1 + t2 > 0.0:
+        # upper side: survival masses Phi(-t), anchored at d1
+        near, far, lx = sc.log_ndtr(-t1), sc.log_ndtr(-t2), sc.log_ndtr(-t)
+        return np.clip(np.expm1(lx - near) / np.expm1(far - near), 0.0, 1.0)
+    # lower side: masses Phi(t), anchored at d2; this ratio is 1 - F
+    near, far, lx = sc.log_ndtr(t2), sc.log_ndtr(t1), sc.log_ndtr(t)
+    return np.clip(1.0 - np.expm1(lx - near) / np.expm1(far - near), 0.0, 1.0)
+
+
 @dataclass(frozen=True)
 class LimitCheckRow:
     range: BitRange
@@ -196,7 +208,6 @@ def limit_check(
             d1, d2 = d2, d1
         if d1 == d2:
             raise ValueError("interval endpoints must differ")
-        z1, z2 = sc.ndtr((d1 - mu) / sigma), sc.ndtr((d2 - mu) / sigma)
 
     rows = []
     for rg in ranges:
@@ -206,7 +217,7 @@ def limit_check(
         else:
             n_points = 1 << rg.width
             support = d1 + (d2 - d1) * np.arange(n_points) / n_points
-            limit_cdf = np.clip((sc.ndtr((support - mu) / sigma) - z1) / (z2 - z1), 0.0, 1.0)
+            limit_cdf = _trunc_normal_cdf(support, mu, sigma, d1, d2)
         dist = boltzmann_dist(beta, support, b, a)
         rows.append(
             LimitCheckRow(

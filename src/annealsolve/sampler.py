@@ -13,6 +13,12 @@ solver, never here):
   conservative one whose per-step error multiplier never exceeds 1.
 * ``BoltzmannModel(kind, range)`` -- the exact finite-register law on a
   signed-symmetric or positive dyadic-grid support.
+
+Each model has one vectorised kernel, ``model.quantile(u, c, a, beta)``,
+which broadcasts u against c and checks nothing; ``q_value`` validates its
+inputs and calls it.  The solver, Monte Carlo and the rate engine all draw
+through these kernels.  They broadcast, so work that depends on u alone
+runs once per u value whatever the shape of c.
 """
 
 from __future__ import annotations
@@ -39,7 +45,9 @@ _MAX_CELLS = 1 << 16
 
 @dataclass(frozen=True)
 class NormalModel:
-    pass
+    def quantile(self, u, c, a: float, beta: float):
+        sigma = 1.0 / (np.sqrt(2.0) * a * beta)
+        return 1.0 / (a * c) + sigma * std_normal_quantile(np.clip(u, _U_CLIP, 1.0 - _U_CLIP))
 
 
 @dataclass(frozen=True)
@@ -50,6 +58,10 @@ class TruncNormalModel:
     def __post_init__(self):
         if self.d1 >= self.d2:
             raise ValueError(f"need d1 < d2, got ({self.d1}, {self.d2})")
+
+    def quantile(self, u, c, a: float, beta: float):
+        sigma = 1.0 / (np.sqrt(2.0) * a * beta)
+        return trunc_normal_quantile_arrays(1.0 / (a * c), sigma, self.d1, self.d2, u)
 
 
 @dataclass(frozen=True)
@@ -70,6 +82,9 @@ class BoltzmannModel:
 
     def support(self) -> np.ndarray:
         return _support(self.kind, self.range)
+
+    def quantile(self, u, c, a: float, beta: float):
+        return _boltzmann_q(self.support(), u, c, a, beta)
 
 
 CorrectionModel = NormalModel | TruncNormalModel | BoltzmannModel
@@ -165,17 +180,7 @@ def q_value(model: CorrectionModel, u, c, a: float, beta: float):
     check_finite_positive("a", a)
     check_finite_positive("beta", beta)
 
-    scalar = np.isscalar(u) and np.isscalar(c)
-    if isinstance(model, NormalModel):
-        mu = 1.0 / (a * c_arr)
-        sigma = 1.0 / (np.sqrt(2.0) * a * beta)
-        out = mu + sigma * std_normal_quantile(np.clip(u_arr, _U_CLIP, 1.0 - _U_CLIP))
-    elif isinstance(model, TruncNormalModel):
-        mu = 1.0 / (a * c_arr)
-        sigma = 1.0 / (np.sqrt(2.0) * a * beta)
-        out = trunc_normal_quantile_arrays(mu, sigma, model.d1, model.d2, u_arr)
-    elif isinstance(model, BoltzmannModel):
-        out = _boltzmann_q(model.support(), u_arr, c_arr, a, beta)
-    else:
+    if not isinstance(model, CorrectionModel):
         raise TypeError(f"not a correction model: {model!r}")
-    return float(out) if scalar else out
+    out = model.quantile(u_arr, c_arr, a, beta)
+    return float(out) if np.isscalar(u) and np.isscalar(c) else out

@@ -56,7 +56,13 @@ def normalize(a0: float, b0: float) -> ProblemInstance:
     if a0 < 0.0:
         a0, b0 = -a0, -b0
     mantissa, exponent = math.frexp(a0)  # a0 = mantissa * 2^exponent
-    return ProblemInstance(a=mantissa, b=math.ldexp(b0, -exponent), shift=-exponent)
+    try:
+        b = math.ldexp(b0, -exponent)
+    except OverflowError:
+        raise ValueError(
+            f"rescaling b={b0} by 2^{-exponent} to normalize a={a0} overflows"
+        ) from None
+    return ProblemInstance(a=mantissa, b=b, shift=-exponent)
 
 
 def residual_exponent(res: float) -> int:
@@ -71,7 +77,7 @@ def residual_exponent(res: float) -> int:
 
 def residual_exponent_array(res: np.ndarray) -> np.ndarray:
     mantissa, exponent = np.frexp(np.abs(res))
-    return np.where(mantissa == 0.5, 1 - exponent, -exponent)
+    return (mantissa == 0.5) - exponent
 
 
 @dataclass(frozen=True)
@@ -87,39 +93,36 @@ class StepRecord:
     multiplier: float
 
 
-def _apply_step(
-    x: float,
-    inst: ProblemInstance,
-    model: CorrectionModel,
-    beta: float,
-    eta: float,
-    l: int,
-) -> tuple[float, StepRecord]:
+def _advance(
+    x: np.ndarray, inst: ProblemInstance, model: CorrectionModel, beta: float,
+    u: np.ndarray, l0_zero: bool = False,
+) -> tuple[np.ndarray, ...]:
+    """One refinement step for an array of iterates with nonzero residuals.
+
+    A single iterate may be passed as a scalar, with a scalar u.  Returns
+    (x_next, residual, l, c, q, delta) per iterate; l0_zero pins the
+    exponent to zero instead of classifying the residual.
+    """
     res = inst.b - inst.a * x
-    scaled = math.ldexp(abs(res), l)
-    c = 1.0 / scaled
-    q = q_value(model, eta, c, inst.a, beta)
-    delta = math.copysign(1.0, res) * q
-    x_next = x + math.ldexp(delta, -l)
-    return x_next, StepRecord(
-        x=x,
-        residual=res,
-        l=l,
-        c=c,
-        eta=eta,
-        delta=delta,
-        multiplier=1.0 - inst.a * c * q,
-    )
+    l = np.zeros_like(res, dtype=int) if l0_zero else residual_exponent_array(res)
+    c = 1.0 / np.ldexp(np.abs(res), l)
+    q = q_value(model, u, c, inst.a, beta)
+    delta = np.sign(res) * q
+    return x + np.ldexp(delta, -l), res, l, c, q, delta
 
 
 def step(
     x: float, inst: ProblemInstance, model: CorrectionModel, beta: float, eta: float
 ) -> tuple[float, StepRecord]:
     """One refinement step from iterate x; raises on an exact iterate."""
-    res = inst.b - inst.a * x
-    if res == 0.0:
+    if inst.b - inst.a * x == 0.0:
         raise ExactSolutionSignal(f"x = {x} solves the equation exactly")
-    return _apply_step(x, inst, model, beta, eta, residual_exponent(res))
+    x_next, res, l, c, q, delta = _advance(x, inst, model, beta, eta)
+    record = StepRecord(
+        x=x, residual=float(res), l=int(l), c=float(c), eta=eta, delta=float(delta),
+        multiplier=float(1.0 - inst.a * c * q),
+    )
+    return float(x_next), record
 
 
 @dataclass(frozen=True)
@@ -192,27 +195,24 @@ def solve(
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if tol < 0.0:
+    if not tol >= 0.0:
         raise ValueError(f"tol must be >= 0, got {tol}")
     check_finite_positive("a", inst.a)
     check_finite_positive("beta", beta)
     etas = rng.uniforms(seed, max_iter, stream)
 
-    xs = [0.0]
-    records: list[StepRecord] = []
-    stopped = False
-    x = 0.0
-    for n in range(max_iter):
-        res = inst.b - inst.a * x
-        if abs(res) <= tol:
-            stopped = True
-            break
-        l = 0 if (l0_zero and n == 0) else residual_exponent(res)
-        x, record = _apply_step(x, inst, model, beta, float(etas[n]), l)
-        records.append(record)
-        xs.append(x)
+    # row n holds step n; x has the extra final iterate
+    x = np.zeros(max_iter + 1)
+    res, c, q, delta = (np.empty(max_iter) for _ in range(4))
+    l = np.empty(max_iter, dtype=int)
+    n = 0
+    # a NaN residual goes on, so that q_value rejects it
+    while n < max_iter and not abs(inst.b - inst.a * x[n]) <= tol:
+        x[n + 1], res[n], l[n], c[n], q[n], delta[n] = _advance(
+            x[n], inst, model, beta, etas[n], l0_zero and n == 0
+        )
+        n += 1
 
-    final_res = inst.b - inst.a * x
     return IterationTrace(
         instance=inst,
         model=model_id(model),
@@ -220,15 +220,15 @@ def solve(
         seed=seed,
         stream=stream,
         l0_zero=l0_zero,
-        x=np.array(xs),
-        residual=np.array([r.residual for r in records]),
-        l=np.array([r.l for r in records], dtype=int),
-        c=np.array([r.c for r in records]),
-        eta=np.array([r.eta for r in records]),
-        delta=np.array([r.delta for r in records]),
-        multiplier=np.array([r.multiplier for r in records]),
-        exact=final_res == 0.0,
-        stopped=stopped,
+        x=x[: n + 1],
+        residual=res[:n],
+        l=l[:n],
+        c=c[:n],
+        eta=etas[:n],
+        delta=delta[:n],
+        multiplier=1.0 - inst.a * c[:n] * q[:n],
+        exact=bool(inst.b - inst.a * x[n] == 0.0),
+        stopped=n < max_iter,
     )
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import annealsolve
 from annealsolve import import_qubo
-from annealsolve.cli import main, parse_model_spec
+from annealsolve.cli import _csv_header, _json_doc, build_parser, main, parse_model_spec
 from annealsolve.sampler import BoltzmannModel, NormalModel, TruncNormalModel
 
 
@@ -224,12 +224,50 @@ def test_mc_outcomes(capsys):
     assert doc["diverged_fraction"] >= 0.95
 
 
-@pytest.mark.parametrize("flag,value", [("--n-traj", "0"), ("--n-iter", "-1")])
+MC_BAD_INPUT_MESSAGES = {"--s": "s must be >= 1, got nan"}
+
+
+@pytest.mark.parametrize("flag,value", [("--n-traj", "0"), ("--n-iter", "-1"), ("--s", "nan")])
 def test_mc_bad_sizes_exit_1(capsys, flag, value):
     code = main(["mc", "--model", "normal", "--beta", "2", flag, value])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert code == 1
-    assert "n_traj and n_iter must be >= 1" in err and "Traceback" not in err
+    assert captured.out == ""
+    message = MC_BAD_INPUT_MESSAGES.get(flag, "n_traj and n_iter must be >= 1")
+    assert message in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--tol", "nan", "tol must be >= 0, got nan"),
+    ("--a", "1e-320", "to normalize a=1e-320 overflows"),
+])
+def test_solve_bad_inputs_exit_1(capsys, flag, value, message):
+    argv = ["solve", "--a", "0.5", "--b", "1", "--beta", "2", "--model", "a2"]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert message in captured.err and "Traceback" not in captured.err
+
+
+def test_solve_accepts_boltzmann_model_spec(capsys):
+    code, out = run_cli(capsys, "solve", "--a", "0.5", "--b", "0.7", "--beta", "3",
+                        "--model", "boltzmann:positive:r=-3:p=1", "--max-iter", "5")
+    assert code == 0
+    assert '"model": "boltzmann:positive:r=-3:p=1"' in out
+    assert len(data_lines(out)) >= 2
+
+
+@pytest.mark.parametrize("flag,value", [("--kind", "positive"), ("--r", "-3"), ("--p", "1")])
+def test_solve_register_flags_are_gone(flag, value):
+    # registers are named in the model spec only
+    with pytest.raises(SystemExit) as err:
+        main(["solve", "--a", "0.5", "--b", "0.7", "--beta", "2", "--model", "a2", flag, value])
+    assert err.value.code == 2
 
 
 def test_solve_seed_out_of_range_exits_1(capsys):
@@ -290,3 +328,11 @@ def test_paper_l0_flag(capsys):
     rows = data_lines(out)
     first = rows[1].split(",")
     assert first[3] == "0"  # l column forced to zero on the first step
+
+
+def test_config_with_nan_is_never_dumped():
+    # a NaN that slips past validation fails loudly instead of writing NaN
+    args = build_parser().parse_args(["mc", "--model", "normal", "--beta", "nan"])
+    for dump in (_csv_header, lambda args: _json_doc(args, {})):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            dump(args)

@@ -111,11 +111,6 @@ def test_std_normal_quantile_accuracy_grid():
         assert v == pytest.approx(normal_quantile_oracle(float(u)), abs=1e-9)
 
 
-def test_std_normal_quantile_unrefined_still_close():
-    raw = std_normal_quantile(0.31, refine=False)
-    assert raw == pytest.approx(normal_quantile_oracle(0.31), abs=2e-9)
-
-
 def test_erf_against_quadrature():
     for x in (0.25, 1.0, 2.5):
         integral, _ = scipy.integrate.quad(

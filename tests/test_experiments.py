@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sc
 
 from annealsolve import (
     BitRange,
@@ -14,8 +15,11 @@ from annealsolve import (
     limit_check,
     log_abs_normal_mean_check,
     mc_convergence,
+    normalize,
     preset,
+    solve,
 )
+from annealsolve.experiments import _trunc_normal_cdf
 
 SD_LOG_ABS_NORMAL = math.pi / math.sqrt(8.0)  # sd of ln|xi|, xi ~ N(0,1)
 
@@ -51,8 +55,9 @@ def test_mc_determinism():
 
 
 def test_mc_validation():
-    with pytest.raises(ValueError):
-        mc_convergence(NormalModel(), 0.5, 0.7, 1.0, s=0.5)
+    for s in (0.5, math.nan):
+        with pytest.raises(ValueError, match="s must be >= 1"):
+            mc_convergence(NormalModel(), 0.5, 0.7, 1.0, s=s)
     for sizes in (dict(n_traj=0), dict(n_iter=0), dict(n_iter=-1)):
         with pytest.raises(ValueError, match="n_traj and n_iter must be >= 1"):
             mc_convergence(NormalModel(), 0.5, 0.7, 1.0, **sizes)
@@ -66,6 +71,29 @@ def test_high_precision_runs_converge(model):
     summary = mc_convergence(model, a=0.5, b=0.7, beta=1e3, n_traj=64, n_iter=25, seed=2)
     assert summary.s_scaled_outcome is McOutcome.TO_ZERO
     assert summary.diverged_fraction == 0.0
+
+
+@pytest.mark.parametrize("model,beta", [
+    (NormalModel(), 2.0),
+    (preset("a2"), 2.0),
+    (preset("a4"), 3.0),
+    (BoltzmannModel(SupportKind.SIGNED_SYMMETRIC, BitRange(-2, 1)), 4.0),
+])
+def test_ensemble_medians_equal_individual_solves(model, beta):
+    # the ensemble and solve(stream=t) draw the same variates, so they must
+    # walk the same iterates; an early-stopped trace keeps its final iterate
+    a, b, n_traj, n_iter, seed = 0.5, 0.7, 48, 30, 11
+    summary = mc_convergence(model, a, b, beta, n_traj=n_traj, n_iter=n_iter, seed=seed)
+    inst = normalize(a, b)
+    paths = np.empty((n_traj, n_iter + 1))
+    for t in range(n_traj):
+        trace = solve(inst, model, beta=beta, seed=seed, max_iter=n_iter, stream=t,
+                      l0_zero=isinstance(model, NormalModel))
+        paths[t] = np.pad(trace.x, (0, n_iter + 1 - trace.x.size), mode="edge")
+    with np.errstate(divide="ignore"):
+        medians = np.median(np.log(np.abs(inst.solution - paths)), axis=0)
+    assert summary.median_log_error.tolist() == medians.tolist()
+    assert summary.median_log_error[-1] < summary.median_log_error[0] - 10.0
 
 
 def test_rate_window_smaller_run():
@@ -124,3 +152,30 @@ def test_limit_check_requires_ordered_ranges():
         limit_check(1.0, 0.5, 1.0, [BitRange(-10, 3), BitRange(-3, 3)])
     with pytest.raises(ValueError):
         limit_check(1.0, 0.5, 1.0, [BitRange(-3, 3)], interval=(1.0, 1.0))
+
+
+@pytest.mark.parametrize("a,b,beta,interval", [
+    (1.0, 0.5, 1.0, (0.0, 2.0)),
+    (1.0, 0.5, 1.0, (2.0, 0.0)),
+    (0.5, 0.7, 2.0, (0.5, 1.0)),
+    (1.0, 0.5, 3.0, (-1.0, 3.0)),
+])
+def test_trunc_normal_limit_cdf_matches_direct_formula(a, b, beta, interval):
+    # moderate tails: the log-mass form agrees with the plain ndtr difference
+    mu, sigma = b / a, 1.0 / (math.sqrt(2.0) * a * beta)
+    d1, d2 = sorted(interval)
+    x = d1 + (d2 - d1) * np.arange(1 << 10) / (1 << 10)
+    z1, z2 = sc.ndtr((d1 - mu) / sigma), sc.ndtr((d2 - mu) / sigma)
+    direct = np.clip((sc.ndtr((x - mu) / sigma) - z1) / (z2 - z1), 0.0, 1.0)
+    np.testing.assert_allclose(_trunc_normal_cdf(x, mu, sigma, d1, d2), direct, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("interval", [(5.0, 6.0), (-6.0, -5.0), (40.0, 41.0)])
+def test_limit_check_interval_far_in_a_tail_is_finite(interval):
+    # at beta = 20 the interval ends lie 140 sigmas or more from the mean;
+    # both tail masses round to the same double, which made the ratio 0/0
+    # (exp underflow in the Boltzmann weights is expected and allowed)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        rows = limit_check(1.0, 0.0, 20.0, [BitRange(-3, 3), BitRange(-7, 3)], interval=interval)
+    for row in rows:
+        assert 0.0 <= row.ks <= 1.0

@@ -45,6 +45,13 @@ def test_normalize_rejects_non_finite(a0, b0):
         normalize(a0, b0)
 
 
+@pytest.mark.parametrize("a0,b0", [(1e-320, 1.0), (-5e-324, 2.0**-30), (2.0**-1000, 1e300)])
+def test_normalize_overflow_is_a_value_error(a0, b0):
+    # a subnormal or tiny a scales b by more than the double range holds
+    with pytest.raises(ValueError, match="overflows"):
+        normalize(a0, b0)
+
+
 def test_normalize_rejects_zero():
     with pytest.raises(DegenerateProblemError):
         normalize(0.0, 1.0)
@@ -115,6 +122,8 @@ def test_solve_validates_arguments():
         solve(inst, NormalModel(), beta=2.0, seed=1, max_iter=0)
     with pytest.raises(ValueError):
         solve(inst, NormalModel(), beta=2.0, seed=1, max_iter=5, tol=-1.0)
+    with pytest.raises(ValueError, match="tol must be >= 0, got nan"):
+        solve(inst, NormalModel(), beta=2.0, seed=1, max_iter=5, tol=math.nan)
 
 
 def test_solve_deterministic_bitwise():
