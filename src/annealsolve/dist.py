@@ -8,6 +8,7 @@ as a normal law with variance ``1 / (2 a^2 beta^2)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,18 +46,29 @@ def boltzmann_dist(beta: float, support, target: float, a: float) -> DiscreteDis
 
     The energy is shifted by its minimum before exponentiation, which leaves
     the law unchanged and avoids overflow; far-out support points may
-    underflow to an exact zero mass.
+    underflow to an exact zero mass.  Every check is written as
+    not-inside, so that NaN fails it too.
     """
     support = np.asarray(support, dtype=float)
     if support.ndim != 1 or support.size == 0:
         raise ValueError("support must be a nonempty 1-d array")
+    if not np.all(np.isfinite(support)):
+        raise ValueError("support must be finite")
     if support.size > 1 and not np.all(np.diff(support) > 0.0):
         raise ValueError("support must be strictly increasing")
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if a == 0.0:
-        raise ValueError("a must be nonzero")
-    h = (a * support - target) ** 2
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be finite and positive, got {beta}")
+    if not 0.0 < abs(a) < math.inf:
+        raise ValueError(f"a must be finite and nonzero, got {a}")
+    if not math.isfinite(target):
+        raise ValueError(f"target must be finite, got {target}")
+    # an energy that overflows gives its point zero mass, unless all do
+    with np.errstate(over="ignore"):
+        h = (a * support - target) ** 2
+    if not h.min() < math.inf:
+        raise ValueError(
+            f"energy (a*v - target)^2 overflows on the whole support (a={a}, target={target})"
+        )
     w = np.exp(-(beta * beta) * (h - h.min()))
     pmf = w / w.sum()
     cdf = np.cumsum(pmf)
@@ -103,7 +115,8 @@ def quantile(dist: DiscreteDist, u):
     right limit of the inverse), at u=1 the largest such value.
     """
     u_arr = np.asarray(u, dtype=float)
-    if np.any((u_arr < 0.0) | (u_arr > 1.0)):
+    # written as not-all-inside so that NaN fails the test too
+    if not np.all((u_arr >= 0.0) & (u_arr <= 1.0)):
         raise ValueError("u must lie in [0, 1]")
     idx = np.searchsorted(dist.cdf, u_arr, side="left")
     idx = np.minimum(idx, dist.support.size - 1)
@@ -126,7 +139,7 @@ def erf(x):
 def erfinv(y):
     """Inverse error function on (-1, 1)."""
     y_arr = np.asarray(y, dtype=float)
-    if np.any(np.abs(y_arr) >= 1.0):
+    if not np.all(np.abs(y_arr) < 1.0):
         raise ValueError("erfinv argument must satisfy |y| < 1")
     out = sc.erfinv(y_arr)
     return float(out) if np.isscalar(y) else out
@@ -135,7 +148,7 @@ def erfinv(y):
 def std_normal_quantile(u):
     """Standard normal quantile Phi^{-1}(u) for u in (0, 1), by scipy's ndtri."""
     u_arr = np.asarray(u, dtype=float)
-    if np.any((u_arr <= 0.0) | (u_arr >= 1.0)):
+    if not np.all((u_arr > 0.0) & (u_arr < 1.0)):
         raise ValueError("u must lie strictly inside (0, 1)")
     out = sc.ndtri(u_arr)
     return float(out) if np.isscalar(u) else out
@@ -186,7 +199,7 @@ def trunc_normal_quantile(params: TruncNormalParams, u):
     result is always inside [d1, d2].
     """
     u_arr = np.asarray(u, dtype=float)
-    if np.any((u_arr < 0.0) | (u_arr > 1.0)):
+    if not np.all((u_arr >= 0.0) & (u_arr <= 1.0)):
         raise ValueError("u must lie in [0, 1]")
     x = trunc_normal_quantile_arrays(params.mu, params.sigma, params.d1, params.d2, u_arr)
     return float(x) if np.isscalar(u) else x

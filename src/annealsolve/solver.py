@@ -189,7 +189,8 @@ def solve(
 ) -> IterationTrace:
     """Run refinement steps with a deterministic uniform stream.
 
-    Stops at max_iter, at |residual| <= tol, or at an exactly zero residual.
+    Stops at max_iter, at |residual| <= tol, or at an exactly zero residual;
+    raises ValueError, naming the step, if an iterate overflows.
     l0_zero forces l = 0 on the first step (the normal-model threshold
     convention) instead of classifying the initial residual.
     """
@@ -206,12 +207,19 @@ def solve(
     res, c, q, delta = (np.empty(max_iter) for _ in range(4))
     l = np.empty(max_iter, dtype=int)
     n = 0
-    # a NaN residual goes on, so that q_value rejects it
-    while n < max_iter and not abs(inst.b - inst.a * x[n]) <= tol:
-        x[n + 1], res[n], l[n], c[n], q[n], delta[n] = _advance(
-            x[n], inst, model, beta, etas[n], l0_zero and n == 0
-        )
-        n += 1
+    # an iterate that overflows raises below, so numpy's overflow warning
+    # is noise; a NaN residual goes on, so that q_value rejects it
+    with np.errstate(over="ignore"):
+        while n < max_iter and not abs(inst.b - inst.a * x[n]) <= tol:
+            x[n + 1], res[n], l[n], c[n], q[n], delta[n] = _advance(
+                x[n], inst, model, beta, etas[n], l0_zero and n == 0
+            )
+            if not math.isfinite(x[n + 1]):
+                raise ValueError(
+                    f"solve diverged: step {n} took the iterate from {float(x[n])!r} "
+                    f"to {float(x[n + 1])!r}"
+                )
+            n += 1
 
     return IterationTrace(
         instance=inst,

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -191,6 +192,18 @@ def test_non_finite_equation_exits_1(capsys, argv):
     assert code == 1
     assert captured.out == ""
     assert "a and b must be finite" in captured.err and "Traceback" not in captured.err
+
+
+def test_solve_divergence_exits_1_with_message(capsys):
+    argv = ["solve", "--a", "0.5", "--b", "0.7", "--beta", "0.02", "--model", "normal",
+            "--max-iter", "3000"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would raise here
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "solve diverged: step" in captured.err and "Traceback" not in captured.err
 
 
 def test_python_m_annealsolve_runs_the_cli(capsys):

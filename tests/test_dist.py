@@ -63,6 +63,41 @@ def test_boltzmann_input_validation():
         boltzmann_dist(1.0, [], 0.5, 1.0)
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: std_normal_quantile(NAN),
+    lambda: std_normal_quantile(np.array([0.5, NAN])),
+    lambda: trunc_normal_quantile(TruncNormalParams(0.0, 1.0, -1.0, 1.0), NAN),
+    lambda: trunc_normal_quantile(TruncNormalParams(0.0, 1.0, -1.0, 1.0), np.array([NAN, 0.5])),
+    lambda: erfinv(NAN),
+    lambda: erfinv(np.array([0.0, NAN])),
+    lambda: boltzmann_dist(1.0, [0.0, 1.0, 2.0], 1.0, 1.0).quantile(NAN),
+    lambda: boltzmann_dist(NAN, [0.0, 1.0, 2.0], 1.0, 1.0),
+    lambda: boltzmann_dist(INF, [0.0, 1.0, 2.0], 1.0, 1.0),
+    lambda: boltzmann_dist(1.0, [0.0, 1.0, 2.0], NAN, 1.0),
+    lambda: boltzmann_dist(1.0, [0.0, 1.0, 2.0], 1.0, NAN),
+    lambda: boltzmann_dist(1.0, [0.0, 1.0, 2.0], 1.0, INF),
+    lambda: boltzmann_dist(1.0, [-INF, 0.0, INF], 1.0, 1.0),
+    lambda: boltzmann_dist(1.0, [0.0, 1.0, 2.0], 1e308, 1.0),
+], ids=[
+    "std_normal", "std_normal_array", "trunc_normal", "trunc_normal_array", "erfinv",
+    "erfinv_array", "boltzmann_quantile", "boltzmann_beta", "boltzmann_beta_inf",
+    "boltzmann_target", "boltzmann_a", "boltzmann_a_inf", "boltzmann_support_inf",
+    "boltzmann_energy_overflow",
+])
+def test_nan_and_infinite_inputs_raise(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_boltzmann_far_support_points_may_overflow_to_zero_mass():
+    d = boltzmann_dist(1.0, [-1e200, 0.0, 1.0], 0.5, 1.0)
+    assert d.pmf[0] == 0.0 and np.all(np.isfinite(d.pmf))
+
+
 def test_quantile_examples():
     d = boltzmann_dist(1.0, [0.0, 1.0], 1.0, 1.0)  # cdf(0) ~ 0.2689
     assert quantile(d, 0.2) == 0.0

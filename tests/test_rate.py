@@ -18,17 +18,23 @@ from annealsolve import (
     rate_points_to_csv,
 )
 from annealsolve import rng
+from annealsolve.cli import parse_model_spec
 from annealsolve.dist import boltzmann_cdf_rows
 from annealsolve.rate import (
+    _DIP_RATIO,
     _GOLDEN,
+    _GS_ITERS_A,
     _GS_ITERS_C,
     LOG_FLOOR,
     RATE_CSV_COLUMNS,
     _boltzmann_pieces,
     _E_boltzmann,
+    _E_grid,
+    _E_max_flag,
     _gl_rule,
     _r_profile_continuous,
 )
+from annealsolve.sampler import _MAX_CELLS
 
 POS01 = BoltzmannModel(SupportKind.POSITIVE, BitRange(0, 1))
 POS21 = BoltzmannModel(SupportKind.POSITIVE, BitRange(-2, 1))
@@ -198,6 +204,27 @@ def test_normal_E_matches_closed_form():
         assert E_func(NormalModel(), 0.7, beta) == pytest.approx(closed, abs=1e-3)
 
 
+def test_normal_E_and_E_max_are_the_closed_form():
+    for beta in (0.05, 0.5, 2.0, 7.0):
+        closed = -(math.log(beta) + np.euler_gamma / 2.0)
+        for a in (0.5, 0.77, 1.0):
+            assert E_func(NormalModel(), a, beta) == closed
+            assert E_func(NormalModel(), a, beta, check=True) == closed
+        assert E_max(NormalModel(), beta) == closed
+        assert _E_max_flag(NormalModel(), beta, 65, 257, 256, True) == (closed, False)
+
+
+def test_normal_quadrature_oracle_converges_to_closed_form():
+    # a plain callable takes the quadrature path; the normal model is the
+    # one continuous case whose E is known, so it calibrates that path
+    q = NormalModel().quantile
+    for a, beta in ((0.5, 2.0), (0.9, 0.7)):
+        closed = -(math.log(beta) + np.euler_gamma / 2.0)
+        errors = [abs(E_func(q, a, beta, gl_nodes=n) - closed) for n in (64, 256, 512)]
+        assert errors[0] <= 1e-3 and errors[1] <= 1e-4 and errors[2] <= 2e-5
+        assert errors[0] > errors[1] > errors[2]
+
+
 def test_E_validation():
     with pytest.raises(ValueError):
         E_func(preset("a1"), 0.0, 1.0)
@@ -285,3 +312,169 @@ def test_rate_csv_schema():
     first = lines[1].split(",")
     assert first[2] == ""  # empty a column on Emax rows
     assert first[5] == "1"  # clamp flag propagates from the clamped cell
+
+
+# ---- scalar oracle: the one-coefficient-at-a-time continuous engine --------
+
+def oracle_profile(model, u_nodes, a, beta, c_steps, refine):
+    q = getattr(model, "quantile", model)
+    c = np.linspace(1.0, 2.0, c_steps)
+    f = np.abs(1.0 - (c[:, None] * a) * q(u_nodes[None, :], c[:, None], a, beta))
+    best = np.argmax(f, axis=0)
+    r = f[best, np.arange(u_nodes.size)]
+    if refine and c_steps > 2 and not isinstance(model, NormalModel):
+        h = 1.0 / (c_steps - 1)
+        lo = np.maximum(1.0, c[best] - h)
+        hi = np.minimum(2.0, c[best] + h)
+        for _ in range(_GS_ITERS_C):
+            x1 = hi - _GOLDEN * (hi - lo)
+            x2 = lo + _GOLDEN * (hi - lo)
+            f1 = np.abs(1.0 - (x1 * a) * q(u_nodes, x1, a, beta))
+            f2 = np.abs(1.0 - (x2 * a) * q(u_nodes, x2, a, beta))
+            r = np.maximum(r, np.maximum(f1, f2))
+            go_right = f1 < f2
+            lo = np.where(go_right, x1, lo)
+            hi = np.where(go_right, hi, x2)
+    return r
+
+
+def oracle_refine_dip(model, a, beta, c_steps, lo, hi):
+    for _ in range(22):
+        x1 = hi - _GOLDEN * (hi - lo)
+        x2 = lo + _GOLDEN * (hi - lo)
+        f1, f2 = oracle_profile(model, np.array([x1, x2]), a, beta, c_steps, refine=False)
+        if f1 > f2:
+            lo = x1
+        else:
+            hi = x2
+    return 0.5 * (lo + hi)
+
+
+def oracle_E(model, a, beta, c_steps, gl_nodes, refine):
+    """(E, clamped, split) at one coefficient; split is None without a dip."""
+    u, w = _gl_rule(gl_nodes)
+    r = oracle_profile(model, u, a, beta, c_steps, refine)
+    k = int(np.argmin(r))
+    if r[k] < _DIP_RATIO * r.max():
+        lo = float(u[k - 1]) if k > 0 else 0.0
+        hi = float(u[k + 1]) if k < u.size - 1 else 1.0
+        split = min(max(oracle_refine_dip(model, a, beta, c_steps, lo, hi), 1e-9), 1.0 - 1e-9)
+        half_u, half_w = _gl_rule(gl_nodes // 2)
+        clamped = False
+        total = 0.0
+        for left, width in ((0.0, split), (split, 1.0 - split)):
+            ru = oracle_profile(model, left + width * half_u, a, beta, c_steps, refine)
+            clamped |= bool(np.any(ru < LOG_FLOOR))
+            total += width * float(half_w @ np.log(np.maximum(ru, LOG_FLOOR)))
+        return total, clamped, split
+    clamped = bool(np.any(r < LOG_FLOOR))
+    return float(w @ np.log(np.maximum(r, LOG_FLOOR))), clamped, None
+
+
+def oracle_E_max(model, beta, a_steps, c_steps, gl_nodes, refine=True):
+    a_grid = np.linspace(0.5, 1.0, a_steps)
+    clamped = False
+    values = np.empty(a_steps)
+    for k, a in enumerate(a_grid):
+        values[k], flag, _ = oracle_E(model, float(a), beta, c_steps, gl_nodes, refine)
+        clamped |= flag
+
+    def evaluate(a):
+        nonlocal clamped
+        value, flag, _ = oracle_E(model, a, beta, c_steps, gl_nodes, refine)
+        clamped |= flag
+        return value
+
+    k = int(np.argmax(values))
+    best = float(values[k])
+    lo = float(a_grid[max(0, k - 1)])
+    hi = float(a_grid[min(a_steps - 1, k + 1)])
+    if hi > lo:
+        x1 = hi - _GOLDEN * (hi - lo)
+        x2 = lo + _GOLDEN * (hi - lo)
+        f1, f2 = evaluate(x1), evaluate(x2)
+        for _ in range(_GS_ITERS_A):
+            if f1 < f2:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + _GOLDEN * (hi - lo)
+                f2 = evaluate(x2)
+            else:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - _GOLDEN * (hi - lo)
+                f1 = evaluate(x1)
+        best = max(best, f1, f2)
+    return best, clamped
+
+
+ORACLE_MODELS = {
+    "a1": preset("a1"),
+    "a2": preset("a2"),
+    "a3": preset("a3"),
+    "a4": preset("a4"),
+    "truncnormal:d1=-1:d2=3": parse_model_spec("truncnormal:d1=-1:d2=3"),
+    "exact_sampler": exact_sampler,
+}
+# at the default grids beta = 4 splits the quadrature at a dip for some
+# coefficient of every model above but a4 (whose r never dips) and the
+# exact sampler, and beta = 0.3 splits none (checked in the test)
+ORACLE_BETAS = (0.3, 2.0, 4.0)
+
+
+@pytest.mark.parametrize("name", list(ORACLE_MODELS))
+def test_E_func_matches_scalar_oracle(name):
+    model = ORACLE_MODELS[name]
+    splits = set()
+    for beta in ORACLE_BETAS:
+        for c_steps in (1, 2, 3, 257):
+            for gl_nodes in (2, 3, 8, 256):
+                for a in (0.5, 0.61, 0.97):
+                    value, clamped, split = oracle_E(model, a, beta, c_steps, gl_nodes, True)
+                    assert E_func(model, a, beta, c_steps=c_steps, gl_nodes=gl_nodes) == value
+                    got = _E_grid(model, np.array([a]), beta, c_steps, gl_nodes, True)
+                    assert (float(got[0][0]), bool(got[1][0])) == (value, clamped)
+                    if split is not None and (c_steps, gl_nodes) == (257, 256):
+                        splits.add(beta)
+    assert 0.3 not in splits
+    assert (4.0 in splits) == (name not in ("a4", "exact_sampler"))
+
+
+@pytest.mark.parametrize("name", list(ORACLE_MODELS))
+def test_E_max_matches_scalar_oracle(name):
+    model = ORACLE_MODELS[name]
+    for beta in (0.3, 4.0):
+        for a_steps in (1, 2, 65):
+            for c_steps, gl_nodes in ((1, 2), (2, 3), (3, 8), (257, 3)):
+                got = _E_max_flag(model, beta, a_steps, c_steps, gl_nodes, True)
+                assert got == oracle_E_max(model, beta, a_steps, c_steps, gl_nodes)
+                assert E_max(model, beta, a_steps, c_steps, gl_nodes) == got[0]
+
+
+@pytest.mark.parametrize("name", ["a1", "a4", "truncnormal:d1=-1:d2=3"])
+def test_E_max_defaults_match_scalar_oracle(name):
+    model = ORACLE_MODELS[name]
+    assert _E_max_flag(model, 2.0, 65, 257, 256, True) == oracle_E_max(model, 2.0, 65, 257, 256)
+
+
+@pytest.mark.parametrize("model", [preset("a1"), NormalModel(), exact_sampler],
+                         ids=["a1", "normal", "exact_sampler"])
+def test_batched_r_profile_matches_scalar_oracle(model):
+    # node counts just below, on and above the edge where a row of 257
+    # grid values no longer fits one tile of the grid pass, and enough rows
+    # of 8 nodes to span several row tiles, for shared and per-row nodes
+    c_steps, beta = 257, 2.0
+    edge = _MAX_CELLS // c_steps
+    for n, m in ((edge, 3), (edge + 1, 3), (edge + 2, 3), (2 * edge + 1, 2), (8, 65)):
+        u = np.linspace(0.0, 1.0, n)
+        np.testing.assert_array_equal(
+            _r_profile_continuous(model, u, 0.71, beta, c_steps, True),
+            oracle_profile(model, u, 0.71, beta, c_steps, True),
+        )
+        a = np.linspace(0.5, 1.0, m)[:, None]
+        rows = np.stack([u[::-1] if i % 2 else u * (1.0 - i / m) for i in range(m)])
+        for nodes in (rows, u):
+            got = _r_profile_continuous(model, nodes, a, beta, c_steps, True)
+            want = [
+                oracle_profile(model, row, x, beta, c_steps, True)
+                for row, x in zip(np.broadcast_to(nodes, rows.shape), a[:, 0])
+            ]
+            np.testing.assert_array_equal(got, want)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,16 @@ def test_solve_validates_arguments():
         solve(inst, NormalModel(), beta=2.0, seed=1, max_iter=5, tol=-1.0)
     with pytest.raises(ValueError, match="tol must be >= 0, got nan"):
         solve(inst, NormalModel(), beta=2.0, seed=1, max_iter=5, tol=math.nan)
+
+
+def test_solve_divergence_is_a_value_error_naming_the_step():
+    # at beta = 0.02 the normal corrections are so wide that the iterate
+    # grows past the float range long before 3000 steps
+    inst = normalize(0.5, 0.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"solve diverged: step \d+ took the iterate from"):
+            solve(inst, NormalModel(), beta=0.02, seed=0, max_iter=3000)
 
 
 def test_solve_deterministic_bitwise():
