@@ -68,16 +68,6 @@ class SupportSpec:
             return self.range.width
         return self.range.width + 1
 
-    @property
-    def max_value(self) -> float:
-        return math.ldexp(1.0, self.range.p) - math.ldexp(1.0, self.range.r)
-
-    @property
-    def min_value(self) -> float:
-        if self.kind is SupportKind.POSITIVE:
-            return 0.0
-        return -self.max_value
-
 
 def decode(bits, spec: SupportSpec) -> float:
     """Decode a bit vector into the real value it represents.

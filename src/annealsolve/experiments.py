@@ -196,14 +196,25 @@ def limit_check(
     grid on [d1, d2) and the limit is the correspondingly truncated normal.
     Ranges must come ordered by increasing width.
     """
+    if not (math.isfinite(a) and a != 0.0):
+        raise ValueError(f"a must be finite and nonzero, got {a}")
+    if not math.isfinite(b):
+        raise ValueError(f"b must be finite, got {b}")
+    check_finite_positive("beta", beta)
     ranges = list(ranges)
     widths = [rg.width for rg in ranges]
     if any(w2 < w1 for w1, w2 in zip(widths, widths[1:])):
         raise ValueError("ranges must be ordered by increasing p - r")
     mu = b / a
     sigma = 1.0 / (math.sqrt(2.0) * abs(a) * beta)
+    if not (math.isfinite(mu) and math.isfinite(sigma)):
+        raise ValueError(
+            f"the limit law N(b/a, 1/(2 a^2 beta^2)) overflows at a={a}, b={b}, beta={beta}"
+        )
     if interval is not None:
         d1, d2 = float(interval[0]), float(interval[1])
+        if not (math.isfinite(d1) and math.isfinite(d2)):
+            raise ValueError(f"interval endpoints must be finite, got ({d1}, {d2})")
         if d1 > d2:
             d1, d2 = d2, d1
         if d1 == d2:

@@ -11,13 +11,17 @@ u in [0, 1] certifies almost-sure convergence to b/a whenever it is
 negative, and E_max(beta) = max over a in [1/2, 1] of E(a, beta) is the
 pessimistic headline curve per model.
 
-The normal model has the closed form E = -ln(beta) - gamma/2 for every a,
-because r(u) = sqrt(2) |Phi^-1(u)| / beta; E_func and E_max return it
-directly, while r_func still evaluates its profile.
+Which kind of model is at hand is decided in two places.  _E_grid decides
+how E is integrated: the normal model has the closed form
+E = -ln(beta) - gamma/2 for every a, because r(u) = sqrt(2) |Phi^-1(u)| / beta;
+Boltzmann models are integrated exactly in u, piece by piece; other models
+take the batched quadrature.  _r_profile_continuous decides whether the best
+grid c is refined: not for the normal model, whose maximand is linear in c,
+nor for Boltzmann models, whose quantiles are piecewise constant in c.
 
-Other continuous models use a dense c-grid plus golden-section refinement
-and Gauss-Legendre quadrature in u.  They evaluate r through the model's
-own vectorised kernel, ``model.quantile``, the one the sampler uses; any
+Continuous models use a dense c-grid plus golden-section refinement and
+Gauss-Legendre quadrature in u.  They evaluate r through the model's own
+vectorised kernel, ``model.quantile``, the one the sampler uses; any
 callable ``q(u, c, a, beta)`` can stand in for a model, and it must
 broadcast in a as it does in u and c.  E_max evaluates its whole a-grid in
 one batch: the c-grid pass runs in cache-sized (a, c, u) tiles, and the
@@ -26,10 +30,10 @@ every grid a.  Each log-sum stays a 1-D dot per a, so every value is the
 one a one-a-at-a-time evaluation gives, bit for bit.  The golden section
 over a around the best grid cell is sequential.
 
-Boltzmann models are integrated exactly, piece by piece: r(u) is constant
-between the CDF levels of all grid laws.  Over the sorted piece midpoints,
-each grid law's quantile index is a staircase whose steps are found by one
-search of all CDF levels among the midpoints, not one search per law.
+For Boltzmann models r(u) is constant between the CDF levels of all grid
+laws.  Over the sorted piece midpoints, each grid law's quantile index is a
+staircase whose steps are found by one search of all CDF levels among the
+midpoints, not one search per law.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ LOG_FLOOR = 1e-300
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GS_ITERS_C = 24
+_GS_ITERS_DIP = 22
 _GS_ITERS_A = 14
 
 RATE_CSV_COLUMNS = ("model_id", "beta", "a", "kind", "value", "clamped")
@@ -105,8 +110,26 @@ def _maximand(q, u, c, a, beta) -> np.ndarray:
     return np.abs(f, out=f)
 
 
+def _golden_bracket(f, lo, hi, iters: int):
+    """Golden-section search for the maximum of f inside [lo, hi], elementwise.
+
+    f maps the stacked probes, shape (2,) + lo.shape, to their values; both
+    probes are evaluated at every step.  Returns the final (lo, hi) and the
+    largest probe value seen at each element.
+    """
+    seen = -np.inf
+    for _ in range(iters):
+        x = np.stack((hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)))
+        f1, f2 = f(x)
+        seen = np.maximum(seen, np.maximum(f1, f2))
+        go_right = f1 < f2
+        lo = np.where(go_right, x[0], lo)
+        hi = np.where(go_right, hi, x[1])
+    return lo, hi, seen
+
+
 def _r_profile_continuous(
-    model, u: np.ndarray, a, beta: float, c_steps: int, refine: bool
+    model, u: np.ndarray, a, beta: float, c_steps: int, refine: bool = True
 ) -> np.ndarray:
     """r(u) at every node: dense c-grid pass, then per-node golden section.
 
@@ -116,7 +139,8 @@ def _r_profile_continuous(
     whole c axis, so argmax still picks each node's first maximum, and the
     kernel sees one coefficient per row, so work that depends on (c, a)
     alone runs once per grid point.  The golden section runs on all nodes
-    at once, both probes of an iteration in one kernel call.
+    at once, both probes of an iteration in one kernel call; refine=False
+    keeps the grid pass alone.
     """
     q = getattr(model, "quantile", model)
     c = np.linspace(1.0, 2.0, c_steps)
@@ -142,38 +166,33 @@ def _r_profile_continuous(
             r[i:i + rows, j:j + cols] = np.take_along_axis(f, k[:, None], axis=1)[:, 0]
     r = r.reshape(shape)
     # the normal maximand |1 - c a (1/(a c) + s)| = c a |s| is linear in c,
-    # so the grid endpoint c = 2 is already the maximum
-    if refine and c_steps > 2 and not isinstance(model, NormalModel):
+    # so the grid endpoint c = 2 is already the maximum; Boltzmann quantiles
+    # are piecewise constant in c, so the dense grid alone is used for them
+    if refine and c_steps > 2 and not isinstance(model, (NormalModel, BoltzmannModel)):
         h = 1.0 / (c_steps - 1)
         c_best = c[best.reshape(shape)]
         lo = np.maximum(1.0, c_best - h)
         hi = np.minimum(2.0, c_best + h)
-        for _ in range(_GS_ITERS_C):
-            x = np.stack((hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)))
-            f1, f2 = _maximand(q, u, x, a, beta)
-            r = np.maximum(r, np.maximum(f1, f2))
-            go_right = f1 < f2
-            lo = np.where(go_right, x[0], lo)
-            hi = np.where(go_right, hi, x[1])
+        _, _, seen = _golden_bracket(
+            lambda x: _maximand(q, u, x, a, beta), lo, hi, _GS_ITERS_C
+        )
+        r = np.maximum(r, seen)
     return r
 
 
 def r_func(
-    model: CorrectionModel, u: float, a: float, beta: float,
-    c_steps: int = 257, refine: bool = True,
+    model: CorrectionModel, u: float, a: float, beta: float, c_steps: int = 257
 ) -> float:
     """Worst multiplier |1 - c*a*q| over c in [1, 2] at one quantile u.
 
-    Boltzmann quantiles are piecewise constant in c, so the dense grid alone
-    is used for them; continuous models add golden-section refinement around
-    the best grid point (the maximand need not be concave, which is why the
-    grid stays dense).
+    The dense c-grid, plus golden-section refinement around the best grid
+    point where the model needs it (_r_profile_continuous decides); the
+    maximand need not be concave, which is why the grid stays dense.
     """
     if not 0.0 <= u <= 1.0:
         raise ValueError("u must lie in [0, 1]")
     _check_inputs(a=a, beta=beta, c_steps=c_steps)
-    refine = refine and not isinstance(model, BoltzmannModel)
-    return float(_r_profile_continuous(model, np.array([u]), a, beta, c_steps, refine)[0])
+    return float(_r_profile_continuous(model, np.array([u]), a, beta, c_steps)[0])
 
 
 def _boltzmann_pieces(
@@ -211,27 +230,8 @@ def _E_boltzmann(model: BoltzmannModel, a: float, beta: float, c_steps: int) -> 
 _DIP_RATIO = 0.05
 
 
-def _refine_dip(model, a: np.ndarray, beta, c_steps, lo: np.ndarray, hi: np.ndarray):
-    """Locate the minimum of r(u) inside [lo[i], hi[i]] by golden section.
-
-    Row i uses coefficient a[i] (a has shape (m, 1)).  The grid-only
-    profile is accurate enough to place the split point; the refined value
-    of r is irrelevant here.
-    """
-    for _ in range(22):
-        x1 = hi - _GOLDEN * (hi - lo)
-        x2 = lo + _GOLDEN * (hi - lo)
-        f1, f2 = _r_profile_continuous(
-            model, np.stack((x1, x2)).T, a, beta, c_steps, refine=False
-        ).T
-        go_right = f1 > f2
-        lo = np.where(go_right, x1, lo)
-        hi = np.where(go_right, hi, x2)
-    return 0.5 * (lo + hi)
-
-
 def _E_continuous(
-    model, a: np.ndarray, beta: float, c_steps: int, gl_nodes: int, refine: bool
+    model, a: np.ndarray, beta: float, c_steps: int, gl_nodes: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(E, clamped) at every coefficient of a, which has shape (m, 1).
 
@@ -239,7 +239,7 @@ def _E_continuous(
     separate evaluation at that coefficient gives, bit for bit.
     """
     u, w = _gl_rule(gl_nodes)
-    r = _r_profile_continuous(model, u, a, beta, c_steps, refine)
+    r = _r_profile_continuous(model, u, a, beta, c_steps)
     log_r = np.log(np.maximum(r, LOG_FLOOR))
     values = np.array([float(w @ row) for row in log_r])
     clamped = np.any(r < LOG_FLOOR, axis=1)
@@ -251,15 +251,22 @@ def _E_continuous(
         k = np.argmin(r[dip], axis=1)
         lo = np.where(k > 0, u[k - 1], 0.0)
         hi = np.where(k < u.size - 1, u[np.minimum(k + 1, u.size - 1)], 1.0)
-        split = _refine_dip(model, a[dip], beta, c_steps, lo, hi)
-        split = np.minimum(np.maximum(split, 1e-9), 1.0 - 1e-9)
+        # golden section for the minimum of r in [lo, hi]; the grid-only
+        # profile is accurate enough to place the split point
+        lo, hi, _ = _golden_bracket(
+            lambda x: -_r_profile_continuous(
+                model, x.T, a[dip], beta, c_steps, refine=False
+            ).T,
+            lo, hi, _GS_ITERS_DIP,
+        )
+        split = np.minimum(np.maximum(0.5 * (lo + hi), 1e-9), 1.0 - 1e-9)
         half_u, half_w = _gl_rule(gl_nodes // 2)
         # both halves of every split in one profile, as (row, half, node)
         left = np.stack((np.zeros_like(split), split), axis=1)[:, :, None]
         width = np.stack((split, 1.0 - split), axis=1)[:, :, None]
         nodes = left + width * half_u
         ru = _r_profile_continuous(
-            model, nodes.reshape(dip.size, -1), a[dip], beta, c_steps, refine
+            model, nodes.reshape(dip.size, -1), a[dip], beta, c_steps
         ).reshape(nodes.shape)
         log_ru = np.log(np.maximum(ru, LOG_FLOOR))
         for j, i in enumerate(dip):
@@ -271,46 +278,40 @@ def _E_continuous(
     return values, clamped
 
 
-def _E_normal(beta: float) -> float:
-    """Closed-form E of the normal model, the same for every a.
-
-    r(u) = sqrt(2) |Phi^-1(u)| / beta, whose log-mean is -ln beta - gamma/2.
-    """
-    return -(math.log(beta) + np.euler_gamma / 2.0)
-
-
 def _E_grid(
-    model, a: np.ndarray, beta: float, c_steps: int, gl_nodes: int, refine: bool
+    model, a: np.ndarray, beta: float, c_steps: int, gl_nodes: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(E, clamped) at every coefficient of the 1-D array a.
 
-    Continuous models take all coefficients in one batch; Boltzmann models
-    are integrated one coefficient at a time.
+    The one place that decides how E is integrated: the normal model's E is
+    the closed form -ln(beta) - gamma/2 at every a; Boltzmann models are
+    integrated exactly in u, one coefficient at a time, and ignore gl_nodes;
+    other models take all coefficients in one quadrature batch.
     """
+    if isinstance(model, NormalModel):
+        return np.full(a.size, -(math.log(beta) + np.euler_gamma / 2.0)), np.zeros(a.size, bool)
     if isinstance(model, BoltzmannModel):
         values, flags = zip(*(_E_boltzmann(model, float(x), beta, c_steps) for x in a))
         return np.array(values), np.array(flags)
-    return _E_continuous(model, a[:, None], beta, c_steps, gl_nodes, refine)
+    return _E_continuous(model, a[:, None], beta, c_steps, gl_nodes)
 
 
 def E_func(
     model: CorrectionModel, a: float, beta: float,
-    c_steps: int = 257, gl_nodes: int = 256, refine: bool = True, check: bool = False,
+    c_steps: int = 257, gl_nodes: int = 256, check: bool = False,
 ) -> float:
     """Mean log multiplier E(a, beta) = integral of ln r(u, a, beta) du.
 
-    check=True re-evaluates continuous models with doubled quadrature nodes
-    and raises if the two values differ by more than 1e-4; Boltzmann models
-    are exact and ignore the quadrature options, and so is the normal
-    model, whose E is the closed form -ln(beta) - gamma/2.
+    How E is integrated depends on the model and is decided in _E_grid: the
+    normal model's E is the closed form, Boltzmann models are exact in u,
+    and other models use a quadrature.  check=True re-evaluates with doubled
+    quadrature nodes and raises if the two values differ by more than 1e-4;
+    the closed form and the exact Boltzmann values do not move.
     """
     _check_inputs(a=a, beta=beta, c_steps=c_steps, gl_nodes=gl_nodes)
-    if isinstance(model, NormalModel):
-        return _E_normal(beta)
-    value = float(_E_grid(model, np.array([a]), beta, c_steps, gl_nodes, refine)[0][0])
-    if check and not isinstance(model, BoltzmannModel):
-        doubled = _E_continuous(model, np.array([[a]]), beta, c_steps, 2 * gl_nodes, refine)
-        value2 = float(doubled[0][0])
+    value = float(_E_grid(model, np.array([a]), beta, c_steps, gl_nodes)[0][0])
+    if check:
+        value2 = float(_E_grid(model, np.array([a]), beta, c_steps, 2 * gl_nodes)[0][0])
         if abs(value - value2) > 1e-4 * max(1.0, abs(value2)):
             raise QuadratureDisagreement(
                 f"E({a}, {beta}) moved from {value} to {value2} when doubling "
@@ -320,17 +321,15 @@ def E_func(
 
 
 def _E_max_flag(
-    model, beta: float, a_steps: int, c_steps: int, gl_nodes: int, refine: bool
+    model, beta: float, a_steps: int, c_steps: int, gl_nodes: int
 ) -> tuple[float, bool]:
-    if isinstance(model, NormalModel):
-        return _E_normal(beta), False
     a_grid = np.linspace(0.5, 1.0, a_steps)
-    values, flags = _E_grid(model, a_grid, beta, c_steps, gl_nodes, refine)
+    values, flags = _E_grid(model, a_grid, beta, c_steps, gl_nodes)
     clamped = bool(flags.any())
 
     def evaluate(a: float) -> float:
         nonlocal clamped
-        value, flag = _E_grid(model, np.array([a]), beta, c_steps, gl_nodes, refine)
+        value, flag = _E_grid(model, np.array([a]), beta, c_steps, gl_nodes)
         clamped |= bool(flag[0])
         return float(value[0])
 
@@ -358,7 +357,7 @@ def _E_max_flag(
 
 def E_max(
     model: CorrectionModel, beta: float,
-    a_steps: int = 65, c_steps: int = 257, gl_nodes: int = 256, refine: bool = True,
+    a_steps: int = 65, c_steps: int = 257, gl_nodes: int = 256,
 ) -> float:
     """Worst E over the coefficient range: max of E(a, beta) for a in [1/2, 1].
 
@@ -366,13 +365,12 @@ def E_max(
     negative value certifies convergence for every grid coefficient.
     """
     _check_inputs(beta=beta, a_steps=a_steps, c_steps=c_steps, gl_nodes=gl_nodes)
-    return _E_max_flag(model, beta, a_steps, c_steps, gl_nodes, refine)[0]
+    return _E_max_flag(model, beta, a_steps, c_steps, gl_nodes)[0]
 
 
 def rate_curve(
     models, betas,
-    a_steps: int = 65, c_steps: int = 257, gl_nodes: int = 256, refine: bool = True,
-    threads: int = 1,
+    a_steps: int = 65, c_steps: int = 257, gl_nodes: int = 256, threads: int = 1,
 ) -> list[RatePoint]:
     """E_max per (model, beta), as a long-format table sorted by (model_id, beta).
 
@@ -398,7 +396,7 @@ def rate_curve(
 
     def work(cell) -> RatePoint:
         mid, model, beta = cell
-        value, clamped = _E_max_flag(model, beta, a_steps, c_steps, gl_nodes, refine)
+        value, clamped = _E_max_flag(model, beta, a_steps, c_steps, gl_nodes)
         return RatePoint(model_id=mid, beta=beta, a=None, kind="Emax", value=value, clamped=clamped)
 
     if threads > 1:

@@ -118,15 +118,23 @@ def preset(algorithm_id: str) -> TruncNormalModel:
         raise ValueError(f"unknown algorithm {algorithm_id!r}; expected one of a1..a4") from None
 
 
+def _shortest(x: float) -> str:
+    """The shortest text that parses back to x, without a trailing '.0'."""
+    return repr(float(x)).removesuffix(".0")
+
+
 def model_id(model: CorrectionModel) -> str:
-    """Canonical text id used in CLI specs and result tables."""
+    """Canonical text id used in CLI specs and result tables.
+
+    parse_model_spec(model_id(model)) == model for every model.
+    """
     if isinstance(model, NormalModel):
         return "normal"
     if isinstance(model, TruncNormalModel):
         for name, preset_model in PRESETS.items():
             if preset_model == model:
                 return name
-        return f"truncnormal:d1={model.d1:g}:d2={model.d2:g}"
+        return f"truncnormal:d1={_shortest(model.d1)}:d2={_shortest(model.d2)}"
     if isinstance(model, BoltzmannModel):
         return f"boltzmann:{model.kind.value}:r={model.range.r}:p={model.range.p}"
     raise TypeError(f"not a correction model: {model!r}")

@@ -327,6 +327,29 @@ def test_limit_check_interval_requires_bounds(capsys):
     assert json.loads(out)["rows"][0]["n_points"] == 64
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--a", "0"], "a must be finite and nonzero"),
+    (["--a", "inf"], "a must be finite and nonzero"),
+    (["--b", "nan"], "b must be finite"),
+    (["--beta", "inf"], "beta must be finite and positive"),
+    (["--beta", "0"], "beta must be finite and positive"),
+    (["--a", "5e-324"], "limit law"),
+    (["--mode", "interval", "--d1", "0", "--d2", "inf"], "interval endpoints must be finite"),
+    (["--mode", "interval", "--d1", "nan", "--d2", "1"], "interval endpoints must be finite"),
+])
+def test_limit_check_inputs_outside_contract_exit_1(capsys, flags, message):
+    argv = {"--a": "1", "--b": "0.5", "--beta": "1"}
+    argv.update(zip(flags[::2], flags[1::2]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning before the check would raise here
+        code = main(["limit-check", "--ranges=-2:1", *(x for kv in argv.items() for x in kv)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1 and message in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_outdir_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("ANNEALSOLVE_OUTDIR", str(tmp_path))
     code, _ = run_cli(capsys, "solve", "--a", "0.5", "--b", "0.7", "--beta", "2",

@@ -49,8 +49,8 @@ def test_exact_sampler_gives_zero_multiplier():
     # with a = 1/2 and the two-point c grid {1, 2}, every product c*a is a
     # power of two, its reciprocal is exact, and the multiplier vanishes
     # exactly, driving E to the clamped log-floor sentinel
-    assert r_func(exact_sampler, 0.3, 0.5, 1.0, c_steps=2, refine=False) == 0.0
-    e = E_func(exact_sampler, 0.5, 1.0, c_steps=2, refine=False)
+    assert r_func(exact_sampler, 0.3, 0.5, 1.0, c_steps=2) == 0.0
+    e = E_func(exact_sampler, 0.5, 1.0, c_steps=2)
     assert e == pytest.approx(math.log(LOG_FLOOR))
     # on a generic grid the reciprocal rounds, leaving a few-ulp multiplier
     assert r_func(exact_sampler, 0.3, 0.7, 1.0) <= 1e-15
@@ -146,7 +146,7 @@ def test_normal_profile_equals_refined_profile():
     for beta in (0.05, 0.5, 2.0, 7.0, 40.0):
         for a in (0.5, 0.77, 1.0):
             for c_steps in (3, 17, 257):
-                got = _r_profile_continuous(model, u, a, beta, c_steps, True)
+                got = _r_profile_continuous(model, u, a, beta, c_steps)
                 np.testing.assert_array_equal(got, r_profile_q_value(model, u, a, beta, c_steps))
 
 
@@ -156,7 +156,7 @@ def test_r_profile_matches_q_value_reference(model):
     for beta in (0.05, 2.0, 40.0):
         for a in (0.5, 0.83):
             for c_steps in (3, 17, 257):
-                got = _r_profile_continuous(model, u, a, beta, c_steps, True)
+                got = _r_profile_continuous(model, u, a, beta, c_steps)
                 np.testing.assert_array_equal(got, r_profile_q_value(model, u, a, beta, c_steps))
 
 
@@ -169,7 +169,7 @@ def test_E_monte_carlo_sign_check():
     model, a, beta = preset("a2"), 0.75, 2.0
     e = E_func(model, a, beta)
     etas = rng.uniforms(77, 10**5)
-    samples = np.log(_r_profile_continuous(model, etas, a, beta, 257, True))
+    samples = np.log(_r_profile_continuous(model, etas, a, beta, 257))
     mc = samples.mean()
     se = samples.std(ddof=1) / math.sqrt(samples.size)
     assert abs(e - mc) <= 3.0 * se
@@ -211,7 +211,7 @@ def test_normal_E_and_E_max_are_the_closed_form():
             assert E_func(NormalModel(), a, beta) == closed
             assert E_func(NormalModel(), a, beta, check=True) == closed
         assert E_max(NormalModel(), beta) == closed
-        assert _E_max_flag(NormalModel(), beta, 65, 257, 256, True) == (closed, False)
+        assert _E_max_flag(NormalModel(), beta, 65, 257, 256) == (closed, False)
 
 
 def test_normal_quadrature_oracle_converges_to_closed_form():
@@ -305,7 +305,7 @@ def test_rate_curve_rejects_empty_models():
 
 def test_rate_csv_schema():
     # a = 1/2 is on the 3-point a grid, so the exact sampler clamps there
-    points = rate_curve([exact_sampler], [1.0], a_steps=3, c_steps=2, gl_nodes=8, refine=False)
+    points = rate_curve([exact_sampler], [1.0], a_steps=3, c_steps=2, gl_nodes=8)
     text = rate_points_to_csv(points)
     lines = text.strip().splitlines()
     assert lines[0] == ",".join(RATE_CSV_COLUMNS)
@@ -430,7 +430,7 @@ def test_E_func_matches_scalar_oracle(name):
                 for a in (0.5, 0.61, 0.97):
                     value, clamped, split = oracle_E(model, a, beta, c_steps, gl_nodes, True)
                     assert E_func(model, a, beta, c_steps=c_steps, gl_nodes=gl_nodes) == value
-                    got = _E_grid(model, np.array([a]), beta, c_steps, gl_nodes, True)
+                    got = _E_grid(model, np.array([a]), beta, c_steps, gl_nodes)
                     assert (float(got[0][0]), bool(got[1][0])) == (value, clamped)
                     if split is not None and (c_steps, gl_nodes) == (257, 256):
                         splits.add(beta)
@@ -444,7 +444,7 @@ def test_E_max_matches_scalar_oracle(name):
     for beta in (0.3, 4.0):
         for a_steps in (1, 2, 65):
             for c_steps, gl_nodes in ((1, 2), (2, 3), (3, 8), (257, 3)):
-                got = _E_max_flag(model, beta, a_steps, c_steps, gl_nodes, True)
+                got = _E_max_flag(model, beta, a_steps, c_steps, gl_nodes)
                 assert got == oracle_E_max(model, beta, a_steps, c_steps, gl_nodes)
                 assert E_max(model, beta, a_steps, c_steps, gl_nodes) == got[0]
 
@@ -452,7 +452,7 @@ def test_E_max_matches_scalar_oracle(name):
 @pytest.mark.parametrize("name", ["a1", "a4", "truncnormal:d1=-1:d2=3"])
 def test_E_max_defaults_match_scalar_oracle(name):
     model = ORACLE_MODELS[name]
-    assert _E_max_flag(model, 2.0, 65, 257, 256, True) == oracle_E_max(model, 2.0, 65, 257, 256)
+    assert _E_max_flag(model, 2.0, 65, 257, 256) == oracle_E_max(model, 2.0, 65, 257, 256)
 
 
 @pytest.mark.parametrize("model", [preset("a1"), NormalModel(), exact_sampler],
@@ -466,13 +466,13 @@ def test_batched_r_profile_matches_scalar_oracle(model):
     for n, m in ((edge, 3), (edge + 1, 3), (edge + 2, 3), (2 * edge + 1, 2), (8, 65)):
         u = np.linspace(0.0, 1.0, n)
         np.testing.assert_array_equal(
-            _r_profile_continuous(model, u, 0.71, beta, c_steps, True),
+            _r_profile_continuous(model, u, 0.71, beta, c_steps),
             oracle_profile(model, u, 0.71, beta, c_steps, True),
         )
         a = np.linspace(0.5, 1.0, m)[:, None]
         rows = np.stack([u[::-1] if i % 2 else u * (1.0 - i / m) for i in range(m)])
         for nodes in (rows, u):
-            got = _r_profile_continuous(model, nodes, a, beta, c_steps, True)
+            got = _r_profile_continuous(model, nodes, a, beta, c_steps)
             want = [
                 oracle_profile(model, row, x, beta, c_steps, True)
                 for row, x in zip(np.broadcast_to(nodes, rows.shape), a[:, 0])

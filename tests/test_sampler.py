@@ -19,6 +19,7 @@ from annealsolve import (
     quantile,
 )
 from annealsolve import rng, sampler
+from annealsolve.cli import parse_model_spec
 from annealsolve.dist import boltzmann_cdf_rows
 from helpers import chisq_pvalue, trunc_normal_quantile_oracle
 
@@ -42,6 +43,24 @@ def test_model_ids():
     assert model_id(POS21) == "boltzmann:positive:r=-2:p=1"
     assert POS21.n_qubits == 3
     assert SYM11.n_qubits == 3
+    # ids keep every digit, so nearby intervals get distinct ids
+    assert model_id(TruncNormalModel(0.1234567, 2.0)) == "truncnormal:d1=0.1234567:d2=2"
+    assert model_id(TruncNormalModel(0.1234571, 2.0)) == "truncnormal:d1=0.1234571:d2=2"
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+intervals = st.tuples(finite, finite).filter(lambda d: d[0] != d[1]).map(sorted)
+registers = st.builds(
+    BoltzmannModel,
+    st.sampled_from([SupportKind.SIGNED_SYMMETRIC, SupportKind.POSITIVE]),
+    st.integers(-40, 0).flatmap(lambda r: st.builds(BitRange, st.just(r), st.integers(r + 1, 1))),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(model=st.one_of(intervals.map(lambda d: TruncNormalModel(*d)), registers))
+def test_model_id_round_trips(model):
+    assert parse_model_spec(model_id(model)) == model
 
 
 def test_model_validation():
