@@ -13,88 +13,19 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .encoding import BitRange, SupportKind
-from .exceptions import DegenerateProblemError, SupportTooLargeError
+from .encoding import BitRange
 from .experiments import limit_check, mc_convergence
 from .qubo import build_qubo, exhaustive_deviation, export_qubo
 from .rate import rate_curve, rate_points_to_csv
-from .sampler import PRESETS, BoltzmannModel, CorrectionModel, NormalModel, TruncNormalModel
+from .sampler import ModelSpecError, NormalModel, parse_model_spec
 from .solver import normalize, solve
 
 OUTDIR_ENV = "ANNEALSOLVE_OUTDIR"
-
-_KINDS = {
-    "signed": SupportKind.SIGNED_SYMMETRIC,
-    "positive": SupportKind.POSITIVE,
-}
-
-
-class ModelSpecError(ValueError):
-    """Model mini-grammar parse failure; messages carry the byte offset."""
-
-
-def parse_model_spec(spec: str) -> CorrectionModel:
-    """Parse ``name[:key=value]*`` into a correction model.
-
-    Names: ``normal``, ``a1``..``a4``, ``truncnormal`` (keys d1, d2) and
-    ``boltzmann`` (kind as a bare ``signed``/``positive`` token or
-    ``kind=``, plus keys r, p).
-    """
-    tokens = spec.split(":")
-    name = tokens[0].lower()
-    offsets = []
-    pos = 0
-    for tok in tokens:
-        offsets.append(pos)
-        pos += len(tok) + 1
-
-    def fail(index: int, message: str):
-        raise ModelSpecError(f"{message} at position {offsets[index]} in {spec!r}")
-
-    allowed = {"truncnormal": {"d1", "d2"}, "boltzmann": {"kind", "r", "p"}}
-    params: dict[str, str] = {}
-    for i, tok in enumerate(tokens[1:], start=1):
-        if "=" in tok:
-            key, _, value = tok.partition("=")
-            key = key.lower()
-            if not key or not value:
-                fail(i, f"malformed key=value token {tok!r}")
-            if key not in allowed.get(name, set()):
-                fail(i, f"unknown key {key!r} for model {name!r}")
-            params[key] = value
-        elif tok.lower() in _KINDS and name == "boltzmann":
-            params["kind"] = tok.lower()
-        else:
-            fail(i, f"unexpected token {tok!r}")
-
-    def take(key: str, index_hint: int = 0):
-        if key not in params:
-            fail(index_hint, f"model {name!r} requires {key}")
-        return params.pop(key)
-
-    try:
-        if name == "normal":
-            model = NormalModel()
-        elif name in PRESETS:
-            model = PRESETS[name]
-        elif name == "truncnormal":
-            model = TruncNormalModel(float(take("d1")), float(take("d2")))
-        elif name == "boltzmann":
-            kind = _KINDS[take("kind")]
-            model = BoltzmannModel(kind, BitRange(int(take("r")), int(take("p"))))
-        else:
-            fail(0, f"unknown model name {name!r}")
-    except ModelSpecError:
-        raise
-    except ValueError as exc:
-        raise ModelSpecError(f"bad parameters for {name!r} in {spec!r}: {exc}") from exc
-    if params:
-        fail(0, f"unused keys {sorted(params)} for model {name!r}")
-    return model
 
 
 def _resolve_out(path: str | None) -> str | None:
@@ -173,10 +104,9 @@ def cmd_qubo(args) -> int:
 
 
 def cmd_rate_curve(args) -> int:
-    specs = [tok for tok in args.models.split(",") if tok.strip()]
-    if not specs:
+    models = [parse_model_spec(tok.strip()) for tok in args.models.split(",") if tok.strip()]
+    if not models:
         raise ModelSpecError("--models must name at least one model")
-    models = [parse_model_spec(tok.strip()) for tok in specs]
     if not (math.isfinite(args.beta_min) and math.isfinite(args.beta_max)):
         # an infinite endpoint would turn the linspace into NaNs
         raise ValueError(f"beta range must be finite, got [{args.beta_min}, {args.beta_max}]")
@@ -191,11 +121,7 @@ def cmd_rate_curve(args) -> int:
     if args.format == "csv":
         _emit(_csv_header(args) + rate_points_to_csv(points), args.out)
     else:
-        rows = [
-            {"model_id": pt.model_id, "beta": pt.beta, "a": pt.a,
-             "kind": pt.kind, "value": _jsonable(pt.value), "clamped": pt.clamped}
-            for pt in points
-        ]
+        rows = [{**asdict(pt), "value": _jsonable(pt.value)} for pt in points]
         _emit(_json_doc(args, {"points": rows}), args.out)
     return 0
 
@@ -246,14 +172,13 @@ def cmd_mc(args) -> int:
 
 def _parse_ranges(text: str) -> list[BitRange]:
     ranges = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+    for tok in filter(None, (part.strip() for part in text.split(","))):
         r_txt, _, p_txt = tok.partition(":")
-        if not _:
-            raise ModelSpecError(f"range {tok!r} must look like r:p")
-        ranges.append(BitRange(int(r_txt), int(p_txt)))
+        try:
+            r, p = int(r_txt), int(p_txt)
+        except ValueError:
+            raise ModelSpecError(f"range {tok!r} must look like r:p") from None
+        ranges.append(BitRange(r, p))
     if not ranges:
         raise ModelSpecError("--ranges must name at least one r:p pair")
     return ranges
@@ -373,10 +298,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ModelSpecError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    except (DegenerateProblemError, SupportTooLargeError, ValueError) as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # the package's own errors are ValueErrors
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -374,25 +374,27 @@ def rate_curve(
 ) -> list[RatePoint]:
     """E_max per (model, beta), as a long-format table sorted by (model_id, beta).
 
-    Cells are independent; with threads > 1 they are evaluated in a pool,
-    and the output order does not depend on the thread count.
+    Each distinct (model_id, beta) is one cell; a plain callable's id is its
+    ``__name__``, and two different models sharing an id raise ValueError.
+    With threads > 1 the cells are evaluated in a pool, and the output order
+    does not depend on the thread count.
     """
     models = list(models)
     if not models:
         raise ValueError("model list is empty")
-    betas = [float(b) for b in betas]
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    betas = sorted({float(b) for b in betas})
     for beta in betas:
         _check_inputs(beta=beta, a_steps=a_steps, c_steps=c_steps, gl_nodes=gl_nodes)
 
-    def ident(model) -> str:
-        if callable(model) and not isinstance(model, CorrectionModel):
-            return getattr(model, "__name__", "custom")
-        return model_id(model)
-
-    cells = sorted(
-        ((ident(m), m, beta) for m in models for beta in betas),
-        key=lambda cell: (cell[0], cell[2]),
-    )
+    by_id: dict = {}
+    for model in models:
+        plain = callable(model) and not isinstance(model, CorrectionModel)
+        mid = getattr(model, "__name__", "custom") if plain else model_id(model)
+        if by_id.setdefault(mid, model) != model:
+            raise ValueError(f"two different models share the id {mid!r}")
+    cells = [(mid, by_id[mid], beta) for mid in sorted(by_id) for beta in betas]
 
     def work(cell) -> RatePoint:
         mid, model, beta = cell

@@ -42,6 +42,11 @@ _U_CLIP = 1e-15
 # (512 kB per float array) is the smallest tile at full speed.
 _MAX_CELLS = 1 << 16
 
+# the supports a Boltzmann correction register may have, and their names,
+# which a spec may also give as a bare token (boltzmann:positive)
+_REGISTER_KINDS = (SupportKind.SIGNED_SYMMETRIC, SupportKind.POSITIVE)
+_REGISTER_KIND_NAMES = {kind.value for kind in _REGISTER_KINDS}
+
 
 @dataclass(frozen=True)
 class NormalModel:
@@ -56,7 +61,8 @@ class TruncNormalModel:
     d2: float
 
     def __post_init__(self):
-        if self.d1 >= self.d2:
+        # written as not-less so that a NaN end fails the test too
+        if not self.d1 < self.d2:
             raise ValueError(f"need d1 < d2, got ({self.d1}, {self.d2})")
 
     def quantile(self, u, c, a: float, beta: float):
@@ -70,7 +76,7 @@ class BoltzmannModel:
     range: BitRange
 
     def __post_init__(self):
-        if self.kind not in (SupportKind.SIGNED_SYMMETRIC, SupportKind.POSITIVE):
+        if self.kind not in _REGISTER_KINDS:
             raise ValueError("Boltzmann correction supports are signed or positive grids")
         if self.range.p > 1:
             # corrections are bounded by 2, so registers never need p > 1
@@ -124,7 +130,7 @@ def _shortest(x: float) -> str:
 
 
 def model_id(model: CorrectionModel) -> str:
-    """Canonical text id used in CLI specs and result tables.
+    """Canonical text id used in model specs and result tables.
 
     parse_model_spec(model_id(model)) == model for every model.
     """
@@ -138,6 +144,75 @@ def model_id(model: CorrectionModel) -> str:
     if isinstance(model, BoltzmannModel):
         return f"boltzmann:{model.kind.value}:r={model.range.r}:p={model.range.p}"
     raise TypeError(f"not a correction model: {model!r}")
+
+
+class ModelSpecError(ValueError):
+    """Model grammar parse failure; messages carry the byte offset."""
+
+
+# the keys of each parametrised model, in the order a missing key is
+# reported, with the reader of their values
+_KEYS = {
+    "truncnormal": {"d1": float, "d2": float},
+    "boltzmann": {"kind": lambda text: SupportKind(text.lower()), "r": int, "p": int},
+}
+
+
+def parse_model_spec(spec: str) -> CorrectionModel:
+    """Parse the text ``model_id`` writes, ``name[:key=value]*``, into a model.
+
+    Names: ``normal``, ``a1``..``a4``, ``truncnormal`` (keys d1, d2) and
+    ``boltzmann`` (keys kind, r, p; the kind may stand alone, as in
+    ``boltzmann:positive:r=0:p=1``).  Names, keys and kinds ignore case.
+    Every failure is a ModelSpecError; the grammar of all tokens is checked
+    before any value is read.
+    """
+    head, *tokens = spec.split(":")
+    name = head.lower()
+    keys = _KEYS.get(name, {})
+
+    def fail(at: int, message: str):
+        raise ModelSpecError(f"{message} at position {at} in {spec!r}")
+
+    found: dict[str, list[tuple[int, str]]] = {}
+    at = len(head) + 1
+    for tok in tokens:
+        key, eq, text = tok.partition("=")
+        key = key.lower()
+        if not eq and name == "boltzmann" and tok.lower() in _REGISTER_KIND_NAMES:
+            key, text = "kind", tok
+        elif not eq:
+            fail(at, f"unexpected token {tok!r}")
+        elif not key or not text:
+            fail(at, f"malformed key=value token {tok!r}")
+        elif key not in keys:
+            fail(at, f"unknown key {key!r} for model {name!r}")
+        found.setdefault(key, []).append((at, text))
+        at += len(tok) + 1
+
+    if name == "normal":
+        return NormalModel()
+    if name in PRESETS:
+        return PRESETS[name]
+    if name not in _KEYS:
+        fail(0, f"unknown model name {name!r}")
+    if missing := [key for key in keys if key not in found]:
+        fail(0, f"model {name!r} requires {missing[0]}")
+    values = {}
+    for key, read in keys.items():
+        (at, text), *repeats = found[key]
+        if repeats:
+            fail(repeats[0][0], f"repeated key {key!r}")
+        try:
+            values[key] = read(text)
+        except ValueError as exc:
+            fail(at, f"bad value for {key}: {exc}")
+    try:
+        if name == "truncnormal":
+            return TruncNormalModel(values["d1"], values["d2"])
+        return BoltzmannModel(values["kind"], BitRange(values["r"], values["p"]))
+    except ValueError as exc:
+        raise ModelSpecError(f"bad parameters for {name!r} in {spec!r}: {exc}") from exc
 
 
 def check_finite_positive(name: str, value: float) -> None:

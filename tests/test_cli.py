@@ -372,3 +372,73 @@ def test_config_with_nan_is_never_dumped():
     for dump in (_csv_header, lambda args: _json_doc(args, {})):
         with pytest.raises(ValueError, match="not JSON compliant"):
             dump(args)
+
+
+def _usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("annealsolve: error: ")
+    return lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--a", "0.5", "--b", "0.7", "--beta", "2", "--model"],
+    ["mc", "--beta", "2", "--n-traj", "10", "--model"],
+    ["rate-curve", "--beta-min", "1", "--beta-max", "2", "--beta-steps", "2", "--models"],
+])
+def test_nan_interval_end_is_a_usage_error(capsys, argv):
+    line = _usage_error(capsys, [*argv, "truncnormal:d1=nan:d2=1"])
+    assert "need d1 < d2" in line
+
+
+@pytest.mark.parametrize("spec,position", [
+    ("boltzmann:kind=foo:r=0:p=1", 10),
+    ("boltzmann:positive:r=-1:p=1:r=-2", 28),
+])
+def test_bad_model_spec_is_a_usage_error_with_its_position(capsys, spec, position):
+    line = _usage_error(capsys, ["rate-curve", "--models", spec, "--beta-min", "1",
+                                 "--beta-max", "2", "--beta-steps", "2"])
+    assert f"at position {position} in" in line
+
+
+@pytest.mark.parametrize("ranges", ["-3", "-3:x", "1:2:3", ":"])
+def test_limit_check_range_syntax_is_a_usage_error(capsys, ranges):
+    line = _usage_error(capsys, ["limit-check", "--a", "1", "--b", "0.5", "--beta", "1",
+                                 f"--ranges={ranges}"])
+    assert f"range {ranges!r} must look like r:p" in line
+
+
+def test_limit_check_unordered_range_exits_1(capsys):
+    code = main(["limit-check", "--a", "1", "--b", "0.5", "--beta", "1", "--ranges=2:1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "BitRange requires r < p" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_rate_curve_threads_below_1_exit_1(capsys, threads):
+    code = main(["rate-curve", "--models", "a4", "--beta-min", "1", "--beta-max", "2",
+                 "--beta-steps", "2", "--threads", threads])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"threads must be at least 1, got {threads}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("models,betas,want", [
+    ("a1,a1", ("1", "2", "2"), [("a1", "1.0"), ("a1", "2.0")]),
+    ("a3,truncnormal:d1=0.5:d2=2", ("1", "2", "2"), [("a3", "1.0"), ("a3", "2.0")]),
+    ("a1,a4", ("1", "1", "3"), [("a1", "1.0"), ("a4", "1.0")]),
+])
+def test_rate_curve_prints_one_row_per_model_id_and_beta(capsys, models, betas, want):
+    code, out = run_cli(capsys, "rate-curve", "--models", models, "--beta-min", betas[0],
+                        "--beta-max", betas[1], "--beta-steps", betas[2], "--a-steps", "3",
+                        "--c-steps", "5", "--gl-nodes", "8")
+    assert code == 0
+    rows = data_lines(out)[1:]
+    assert [tuple(row.split(",")[:2]) for row in rows] == want

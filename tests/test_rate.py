@@ -478,3 +478,46 @@ def test_batched_r_profile_matches_scalar_oracle(model):
                 for row, x in zip(np.broadcast_to(nodes, rows.shape), a[:, 0])
             ]
             np.testing.assert_array_equal(got, want)
+
+
+def _never_called(u, c, a, beta):
+    raise AssertionError("no cell may run")
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_rate_curve_rejects_threads_below_1(threads):
+    with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+        rate_curve([_never_called], [1.0], threads=threads)
+
+
+def test_rate_curve_evaluates_each_model_id_and_beta_once():
+    calls = []
+
+    def counted(u, c, a, beta):
+        calls.append(beta)
+        return exact_sampler(u, c, a, beta)
+
+    grids = dict(a_steps=3, c_steps=5, gl_nodes=8)
+    merged = rate_curve(
+        [preset("a3"), parse_model_spec("truncnormal:d1=0.5:d2=2"), counted, counted],
+        [2.0, 1.0, 2.0], **grids,
+    )
+    merged_calls = len(calls)
+    calls.clear()
+    assert merged == rate_curve([preset("a3"), counted], [1.0, 2.0], **grids)
+    assert merged_calls == len(calls)
+    assert [(pt.model_id, pt.beta) for pt in merged] == [
+        ("a3", 1.0), ("a3", 2.0), ("counted", 1.0), ("counted", 2.0),
+    ]
+
+
+def test_rate_curve_rejects_different_models_sharing_an_id():
+    def first(u, c, a, beta):
+        return exact_sampler(u, c, a, beta)
+
+    def second(u, c, a, beta):
+        return exact_sampler(u, c, a, beta)
+
+    second.__name__ = "first"
+    with pytest.raises(ValueError, match="two different models share the id 'first'"):
+        rate_curve([first, second], [1.0], a_steps=3, c_steps=5, gl_nodes=8)
