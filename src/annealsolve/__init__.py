@@ -7,16 +7,7 @@ exact finite-register correction laws, and evaluates the convergence-rate
 functionals that certify almost-sure convergence.
 """
 
-from .dist import (
-    DiscreteDist,
-    TruncNormalParams,
-    boltzmann_dist,
-    erf,
-    erfinv,
-    quantile,
-    std_normal_quantile,
-    trunc_normal_quantile,
-)
+from .dist import DiscreteDist, boltzmann_dist, quantile, std_normal_quantile
 from .encoding import (
     BitRange,
     SupportKind,
@@ -86,14 +77,11 @@ __all__ = [
     "SupportSpec",
     "SupportTooLargeError",
     "TruncNormalModel",
-    "TruncNormalParams",
     "boltzmann_dist",
     "build_qubo",
     "decode",
     "enumerate_patterns",
     "enumerate_support",
-    "erf",
-    "erfinv",
     "exhaustive_deviation",
     "export_qubo",
     "import_qubo",
@@ -114,5 +102,4 @@ __all__ = [
     "solve",
     "std_normal_quantile",
     "step",
-    "trunc_normal_quantile",
 ]

@@ -301,6 +301,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # the package's own errors are ValueErrors
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a register under the enumeration limit can still outgrow RAM
+        reason = str(exc) or "allocation failed"
+        print(f"{parser.prog}: error: out of memory: {reason}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

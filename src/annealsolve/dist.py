@@ -1,4 +1,4 @@
-"""Probability kernels: Boltzmann laws on finite supports and (truncated) normal quantiles.
+"""Probability kernels: the models' quantile kernels and the Boltzmann reference law.
 
 The Boltzmann law over a finite support puts mass proportional to
 ``exp(-beta^2 * H(v))`` on each support value ``v`` -- note the *squared*
@@ -36,9 +36,6 @@ class DiscreteDist:
     support: np.ndarray
     pmf: np.ndarray
     cdf: np.ndarray
-
-    def quantile(self, u):
-        return quantile(self, u)
 
 
 def boltzmann_dist(beta: float, support, target: float, a: float) -> DiscreteDist:
@@ -130,21 +127,6 @@ def quantile(dist: DiscreteDist, u):
     return float(values) if np.isscalar(u) else values
 
 
-def erf(x):
-    """Error function (2/sqrt(pi)) * integral of exp(-t^2) from 0 to x."""
-    out = sc.erf(np.asarray(x, dtype=float))
-    return float(out) if np.isscalar(x) else out
-
-
-def erfinv(y):
-    """Inverse error function on (-1, 1)."""
-    y_arr = np.asarray(y, dtype=float)
-    if not np.all(np.abs(y_arr) < 1.0):
-        raise ValueError("erfinv argument must satisfy |y| < 1")
-    out = sc.erfinv(y_arr)
-    return float(out) if np.isscalar(y) else out
-
-
 def std_normal_quantile(u):
     """Standard normal quantile Phi^{-1}(u) for u in (0, 1), by scipy's ndtri."""
     u_arr = np.asarray(u, dtype=float)
@@ -154,31 +136,17 @@ def std_normal_quantile(u):
     return float(out) if np.isscalar(u) else out
 
 
-@dataclass(frozen=True)
-class TruncNormalParams:
-    """Normal law with mean mu and s.d. sigma conditioned on the interval (d1, d2).
-
-    A reversed interval is normalized by swapping the endpoints.
-    """
-
-    mu: float
-    sigma: float
-    d1: float
-    d2: float
-
-    def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.d1 == self.d2:
-            raise ValueError("interval endpoints must differ")
-        if self.d1 > self.d2:
-            lo, hi = self.d2, self.d1
-            object.__setattr__(self, "d1", lo)
-            object.__setattr__(self, "d2", hi)
-
-
 def trunc_normal_quantile_arrays(mu, sigma, d1: float, d2: float, u) -> np.ndarray:
-    """Array core of the truncated normal quantile; broadcasts mu/sigma/u."""
+    """Quantile of N(mu, sigma^2) conditioned on (d1, d2); broadcasts mu/sigma/u.
+
+        q(u) = mu + sigma*sqrt(2) * erfinv((1-u) erf(z1) + u erf(z2)),
+        z_k = (d_k - mu) / (sigma*sqrt(2))
+
+    The erfinv argument is clamped away from +-1, so quantiles saturate
+    instead of diverging when an endpoint lies many sigmas into a tail; the
+    result is always inside [d1, d2].  Nothing is checked here:
+    ``TruncNormalModel`` owns the interval's contract, ``q_value`` that of u.
+    """
     s2 = np.asarray(sigma, dtype=float) * _SQRT2
     e1 = sc.erf((d1 - mu) / s2)
     e2 = sc.erf((d2 - mu) / s2)
@@ -186,20 +154,3 @@ def trunc_normal_quantile_arrays(mu, sigma, d1: float, d2: float, u) -> np.ndarr
     arg = np.clip(arg, -ERFINV_ARG_MAX, ERFINV_ARG_MAX)
     x = mu + s2 * sc.erfinv(arg)
     return np.clip(x, d1, d2)
-
-
-def trunc_normal_quantile(params: TruncNormalParams, u):
-    """Quantile of the truncated normal law via the erf^{-1} closed form.
-
-        q(u) = mu + sigma*sqrt(2) * erfinv((1-u) erf(z1) + u erf(z2)),
-        z_k = (d_k - mu) / (sigma*sqrt(2))
-
-    The erfinv argument is clamped away from +-1, so quantiles saturate
-    instead of diverging when an endpoint lies many sigmas into a tail; the
-    result is always inside [d1, d2].
-    """
-    u_arr = np.asarray(u, dtype=float)
-    if not np.all((u_arr >= 0.0) & (u_arr <= 1.0)):
-        raise ValueError("u must lie in [0, 1]")
-    x = trunc_normal_quantile_arrays(params.mu, params.sigma, params.d1, params.d2, u_arr)
-    return float(x) if np.isscalar(u) else x

@@ -18,7 +18,8 @@ import scipy.special as sc
 
 from . import rng
 from .dist import boltzmann_dist
-from .encoding import BitRange, SupportKind, SupportSpec, enumerate_support
+from .encoding import MAX_ENUM_BITS, BitRange, SupportKind, SupportSpec, enumerate_support
+from .exceptions import SupportTooLargeError
 from .sampler import CorrectionModel, NormalModel, check_finite_positive
 # imported only so the benchmark's trace hooks can rebind it here
 from .sampler import q_value  # noqa: F401
@@ -144,7 +145,7 @@ def log_abs_normal_mean_check(n_samples: int, seed: int = 0) -> float:
     return float(np.mean(np.log(np.abs(xi))))
 
 
-def ks_discrete_vs_continuous(support, pmf, continuous_cdf: np.ndarray) -> float:
+def ks_discrete_vs_continuous(pmf, continuous_cdf: np.ndarray) -> float:
     """Exact sup distance between a discrete CDF and a continuous one.
 
     The supremum over the whole line is attained at support points or their
@@ -219,6 +220,11 @@ def limit_check(
             d1, d2 = d2, d1
         if d1 == d2:
             raise ValueError("interval endpoints must differ")
+        # the grid on [d1, d2) has 2^width points; enumerate_support guards the
+        # full-line grid the same way
+        width = max(widths, default=0)
+        if width > MAX_ENUM_BITS:
+            raise SupportTooLargeError(f"{width} bits exceeds enumeration limit {MAX_ENUM_BITS}")
 
     rows = []
     for rg in ranges:
@@ -234,7 +240,7 @@ def limit_check(
             LimitCheckRow(
                 range=rg,
                 n_points=support.size,
-                ks=ks_discrete_vs_continuous(dist.support, dist.pmf, limit_cdf),
+                ks=ks_discrete_vs_continuous(dist.pmf, limit_cdf),
             )
         )
     return rows

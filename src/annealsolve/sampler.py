@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,17 +104,13 @@ PRESETS = {
     "a4": TruncNormalModel(0.5, 1.0),
 }
 
-_SUPPORT_CACHE: dict[tuple[SupportKind, int, int], np.ndarray] = {}
 
-
+@lru_cache(maxsize=None)
 def _support(kind: SupportKind, bit_range: BitRange) -> np.ndarray:
-    key = (kind, bit_range.r, bit_range.p)
-    cached = _SUPPORT_CACHE.get(key)
-    if cached is None:
-        cached = enumerate_support(SupportSpec(kind, bit_range))
-        cached.flags.writeable = False
-        _SUPPORT_CACHE[key] = cached
-    return cached
+    # read-only: every model with this register shares the one array
+    support = enumerate_support(SupportSpec(kind, bit_range))
+    support.flags.writeable = False
+    return support
 
 
 def preset(algorithm_id: str) -> TruncNormalModel:

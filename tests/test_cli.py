@@ -442,3 +442,28 @@ def test_rate_curve_prints_one_row_per_model_id_and_beta(capsys, models, betas, 
     assert code == 0
     rows = data_lines(out)[1:]
     assert [tuple(row.split(",")[:2]) for row in rows] == want
+
+
+def test_limit_check_interval_too_wide_exits_1(capsys):
+    # 2^41 grid points: refused before any allocation, like the full-line mode
+    code = main(["limit-check", "--a", "0.7", "--b", "0.5", "--beta", "2", "--mode", "interval",
+                 "--d1", "0", "--d2", "1", "--ranges=-40:1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "annealsolve: error: 41 bits exceeds enumeration limit 30\n"
+
+
+def test_memory_error_exits_1_with_one_line(capsys, monkeypatch):
+    # a register under the enumeration limit may still not fit in memory
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 56.0 GiB for an array")
+
+    monkeypatch.setattr("annealsolve.cli.limit_check", out_of_memory)
+    code = main(["limit-check", "--a", "0.7", "--b", "0.5", "--beta", "2", "--ranges=-26:1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "annealsolve: error: out of memory: Unable to allocate 56.0 GiB for an array\n"
+    )

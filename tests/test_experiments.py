@@ -121,7 +121,7 @@ def test_slope_improves_with_beta():
 def test_ks_helper_hand_case():
     # single atom at 0 vs a continuous law with F(0) = 0.3:
     # sup over the jump is max(|1 - 0.3|, |0 - 0.3|) = 0.7
-    assert ks_discrete_vs_continuous([0.0], [1.0], np.array([0.3])) == pytest.approx(0.7)
+    assert ks_discrete_vs_continuous([1.0], np.array([0.3])) == pytest.approx(0.7)
 
 
 def test_limit_check_full_line_decreases():

@@ -97,6 +97,15 @@ def test_truncnormal_matches_bisection_oracle():
         )
 
 
+def test_boltzmann_support_is_shared_and_read_only():
+    # every model with this register draws from the one cached array, so a
+    # write into it would corrupt all later draws
+    support = POS21.support()
+    assert BoltzmannModel(SupportKind.POSITIVE, BitRange(-2, 1)).support() is support
+    with pytest.raises(ValueError, match="read-only"):
+        support[0] = 5.0
+
+
 def test_boltzmann_two_point_example():
     model = BoltzmannModel(SupportKind.POSITIVE, BitRange(0, 1))
     assert model.support().tolist() == [0.0, 1.0]
