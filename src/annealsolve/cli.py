@@ -146,12 +146,19 @@ def cmd_mc(args) -> int:
             )
             with open(os.path.join(directory, f"traj{t:04d}.csv"), "w") as handle:
                 handle.write(_csv_header(args) + trace.to_csv())
+    if summary.floor_step is not None:
+        print(
+            f"annealsolve: warning: the median error is exactly 0 (the float floor) from "
+            f"step {summary.floor_step} on; the slope is fitted only to the steps before it",
+            file=sys.stderr,
+        )
     if args.format == "json":
         payload = {
             "n_traj": summary.n_traj,
             "n_iter": summary.n_iter,
             "s": summary.s,
             "slope": _jsonable(summary.slope),
+            "floor_step": summary.floor_step,
             "diverged_fraction": summary.diverged_fraction,
             "outcome": summary.s_scaled_outcome.value,
             "median_log_error": [_jsonable(float(v)) for v in summary.median_log_error],
@@ -160,7 +167,8 @@ def cmd_mc(args) -> int:
     else:
         lines = [
             _csv_header(args),
-            f"# slope={summary.slope!r} diverged_fraction={summary.diverged_fraction!r} "
+            f"# slope={summary.slope!r} floor_step={summary.floor_step} "
+            f"diverged_fraction={summary.diverged_fraction!r} "
             f"outcome={summary.s_scaled_outcome.value}\n",
             "step,median_log_error\n",
         ]

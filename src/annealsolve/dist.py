@@ -1,4 +1,5 @@
-"""Probability kernels: the models' quantile kernels and the Boltzmann reference law.
+"""Probability kernels: the models' quantile kernels, the truncated normal's CDF
+and the Boltzmann reference law.
 
 The Boltzmann law over a finite support puts mass proportional to
 ``exp(-beta^2 * H(v))`` on each support value ``v`` -- note the *squared*
@@ -154,3 +155,20 @@ def trunc_normal_quantile_arrays(mu, sigma, d1: float, d2: float, u) -> np.ndarr
     arg = np.clip(arg, -ERFINV_ARG_MAX, ERFINV_ARG_MAX)
     x = mu + s2 * sc.erfinv(arg)
     return np.clip(x, d1, d2)
+
+
+def trunc_normal_cdf(x, mu: float, sigma: float, d1: float, d2: float) -> np.ndarray:
+    """CDF of N(mu, sigma^2) conditioned on [d1, d2], for x in [d1, d2].
+
+    Formed from log tail masses on the interval's side of mu, so intervals
+    far out in a tail keep their precision instead of cancelling to 0/0.
+    """
+    t1, t2 = (d1 - mu) / sigma, (d2 - mu) / sigma
+    t = (np.asarray(x, dtype=float) - mu) / sigma
+    if t1 + t2 > 0.0:
+        # upper side: survival masses Phi(-t), anchored at d1
+        near, far, lx = sc.log_ndtr(-t1), sc.log_ndtr(-t2), sc.log_ndtr(-t)
+        return np.clip(np.expm1(lx - near) / np.expm1(far - near), 0.0, 1.0)
+    # lower side: masses Phi(t), anchored at d2; this ratio is 1 - F
+    near, far, lx = sc.log_ndtr(t2), sc.log_ndtr(t1), sc.log_ndtr(t)
+    return np.clip(1.0 - np.expm1(lx - near) / np.expm1(far - near), 0.0, 1.0)

@@ -93,17 +93,22 @@ def decode(bits, spec: SupportSpec) -> float:
     return -magnitude if bits[-1] else magnitude
 
 
+def check_enumerable(spec: SupportSpec) -> None:
+    """Refuse a spec of more than ``MAX_ENUM_BITS`` bits, before any allocation."""
+    if spec.n_bits > MAX_ENUM_BITS:
+        raise SupportTooLargeError(f"{spec.n_bits} bits exceeds enumeration limit {MAX_ENUM_BITS}")
+
+
 def enumerate_patterns(spec: SupportSpec) -> tuple[np.ndarray, np.ndarray]:
     """All bit patterns of the encoding and their decoded values.
 
     Returns ``(bits, values)`` where ``bits`` has shape ``(2**n_bits, n_bits)``
     (least-significant bit in column 0) and ``values[k] = decode(bits[k])``.
     Values are not deduplicated; two's-complement and sign-magnitude encodings
-    represent some values twice.
+    represent some values twice.  Only the QUBO exhaustive check needs them.
     """
+    check_enumerable(spec)
     n = spec.n_bits
-    if n > MAX_ENUM_BITS:
-        raise SupportTooLargeError(f"{n} bits exceeds enumeration limit {MAX_ENUM_BITS}")
     codes = np.arange(1 << n, dtype=np.int64)
     bits = (codes[:, None] >> np.arange(n)) & 1
     weights = np.ldexp(1.0, spec.range.r + np.arange(spec.range.width))
@@ -118,12 +123,13 @@ def enumerate_patterns(spec: SupportSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def enumerate_support(spec: SupportSpec) -> np.ndarray:
-    """The distinct representable values, strictly increasing.
+    """The distinct representable values, strictly increasing: the dyadic grid ``k * 2^r``.
 
-    Duplicate bit patterns (the two zeros of sign-magnitude, the overlap of
-    the two's-complement halves) are collapsed; distributions over a support
-    weight each *value* once.
+    ``k`` runs over ``[0, 2^(p-r))`` for ``POSITIVE`` and over ``|k| < 2^(p-r)``
+    for the two signed kinds, whose value sets coincide: the two's-complement
+    halves are ``[theta, 0]`` and ``[0, 2^p - 2^r]``.  Zero is +0.0.
     """
-    _, values = enumerate_patterns(spec)
-    # + 0.0 folds the sign-magnitude -0.0 into +0.0
-    return np.unique(values + 0.0)
+    check_enumerable(spec)
+    w = spec.range.width
+    lo = 0 if spec.kind is SupportKind.POSITIVE else 1 - 2**w
+    return np.ldexp(np.arange(lo, 2**w, dtype=float), spec.range.r)

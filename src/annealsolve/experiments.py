@@ -17,9 +17,8 @@ import numpy as np
 import scipy.special as sc
 
 from . import rng
-from .dist import boltzmann_dist
-from .encoding import MAX_ENUM_BITS, BitRange, SupportKind, SupportSpec, enumerate_support
-from .exceptions import SupportTooLargeError
+from .dist import boltzmann_dist, trunc_normal_cdf
+from .encoding import BitRange, SupportKind, SupportSpec, check_enumerable, enumerate_support
 from .sampler import CorrectionModel, NormalModel, check_finite_positive
 # imported only so the benchmark's trace hooks can rebind it here
 from .sampler import q_value  # noqa: F401
@@ -50,6 +49,7 @@ class McSummary:
     s: float
     median_log_error: np.ndarray  # per step, including step 0
     slope: float
+    floor_step: int | None  # first step whose median is -inf (the float floor), if any
     diverged_fraction: float
     s_scaled_outcome: McOutcome
 
@@ -114,20 +114,23 @@ def mc_convergence(
         frozen |= abs_x > _FREEZE_AT
         median_log[n + 1] = _median_log_abs(ba - x)
 
-    # median commutes with log, so this is ln median |s^n error|
-    shift = median_log[-1] + n_iter * math.log(s) - median_log[0]
+    # median commutes with log, so this is ln median |s^n error|; with b = 0
+    # the start x = 0 is already exact and the error stays 0
+    shift = -math.inf if ba == 0.0 else median_log[-1] + n_iter * math.log(s) - median_log[0]
     if shift < math.log(1e-6):
         outcome = McOutcome.TO_ZERO
     elif shift > math.log(1e6):
         outcome = McOutcome.TO_INFINITY
     else:
         outcome = McOutcome.INCONCLUSIVE
+    floored = np.flatnonzero(np.isneginf(median_log))
     return McSummary(
         n_traj=n_traj,
         n_iter=n_iter,
         s=s,
         median_log_error=median_log,
         slope=_lsq_slope(median_log),
+        floor_step=int(floored[0]) if floored.size else None,
         diverged_fraction=float(diverged.mean()),
         s_scaled_outcome=outcome,
     )
@@ -156,23 +159,6 @@ def ks_discrete_vs_continuous(pmf, continuous_cdf: np.ndarray) -> float:
     return float(
         max(np.abs(fd - continuous_cdf).max(), np.abs(left - continuous_cdf).max())
     )
-
-
-def _trunc_normal_cdf(x, mu: float, sigma: float, d1: float, d2: float) -> np.ndarray:
-    """CDF of N(mu, sigma^2) conditioned on [d1, d2], for x in [d1, d2].
-
-    Formed from log tail masses on the interval's side of mu, so intervals
-    far out in a tail keep their precision instead of cancelling to 0/0.
-    """
-    t1, t2 = (d1 - mu) / sigma, (d2 - mu) / sigma
-    t = (np.asarray(x, dtype=float) - mu) / sigma
-    if t1 + t2 > 0.0:
-        # upper side: survival masses Phi(-t), anchored at d1
-        near, far, lx = sc.log_ndtr(-t1), sc.log_ndtr(-t2), sc.log_ndtr(-t)
-        return np.clip(np.expm1(lx - near) / np.expm1(far - near), 0.0, 1.0)
-    # lower side: masses Phi(t), anchored at d2; this ratio is 1 - F
-    near, far, lx = sc.log_ndtr(t2), sc.log_ndtr(t1), sc.log_ndtr(t)
-    return np.clip(1.0 - np.expm1(lx - near) / np.expm1(far - near), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -220,21 +206,29 @@ def limit_check(
             d1, d2 = d2, d1
         if d1 == d2:
             raise ValueError("interval endpoints must differ")
-        # the grid on [d1, d2) has 2^width points; enumerate_support guards the
-        # full-line grid the same way
-        width = max(widths, default=0)
-        if width > MAX_ENUM_BITS:
-            raise SupportTooLargeError(f"{width} bits exceeds enumeration limit {MAX_ENUM_BITS}")
+        # the grid k / 2^width on [0, 1), mapped affinely onto [d1, d2)
+        specs = [SupportSpec(SupportKind.POSITIVE, BitRange(-rg.width, 0)) for rg in ranges]
+    else:
+        specs = [SupportSpec(SupportKind.SIGNED_SYMMETRIC, rg) for rg in ranges]
+    if specs:
+        # the widest grid comes last; refuse it before any row is computed
+        check_enumerable(specs[-1])
 
     rows = []
-    for rg in ranges:
+    for rg, spec in zip(ranges, specs):
+        support = enumerate_support(spec)
         if interval is None:
-            support = enumerate_support(SupportSpec(SupportKind.SIGNED_SYMMETRIC, rg))
             limit_cdf = sc.ndtr((support - mu) / sigma)
         else:
-            n_points = 1 << rg.width
-            support = d1 + (d2 - d1) * np.arange(n_points) / n_points
-            limit_cdf = _trunc_normal_cdf(support, mu, sigma, d1, d2)
+            support = d1 + (d2 - d1) * support
+            with np.errstate(invalid="ignore"):
+                limit_cdf = trunc_normal_cdf(support, mu, sigma, d1, d2)
+            if not np.all(np.isfinite(limit_cdf)):
+                # both tail masses round to one double: the CDF is 0/0
+                raise ValueError(
+                    f"the truncated limit law on [{d1}, {d2}] is too narrow to resolve: "
+                    "its two tail masses are equal in double precision"
+                )
         dist = boltzmann_dist(beta, support, b, a)
         rows.append(
             LimitCheckRow(

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import annealsolve
 from annealsolve import import_qubo
@@ -235,6 +239,39 @@ def test_mc_outcomes(capsys):
                         "--n-traj", "200", "--n-iter", "400", "--seed", "5")
     doc = json.loads(out)
     assert doc["diverged_fraction"] >= 0.95
+
+
+@pytest.mark.parametrize("beta,floor,slope", [("3", 22, -1.609), ("4", 19, None)])
+def test_mc_warns_when_the_slope_is_fitted_across_the_float_floor(capsys, beta, floor, slope):
+    # the fit window is steps 20-40; the median error hits exactly 0 at step 22
+    # (beta 3) and before the window at step 19 (beta 4), where no slope is left
+    for fmt in ("json", "csv"):
+        code = main(["mc", "--model", "normal", "--beta", beta, "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 0
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("annealsolve: warning: ")
+        assert f"(the float floor) from step {floor} on;" in lines[0]
+        if fmt == "json":
+            doc = json.loads(captured.out)
+            assert doc["floor_step"] == floor
+            assert doc["median_log_error"][floor] is None
+            assert all(v is not None for v in doc["median_log_error"][:floor])
+            if slope is None:
+                assert doc["slope"] is None
+            else:
+                assert doc["slope"] == pytest.approx(slope, abs=1e-3)
+        else:
+            assert f" floor_step={floor} " in captured.out
+
+
+def test_mc_above_the_float_floor_gives_no_warning(capsys):
+    # at beta 2 the median error first hits 0 at step 28, after these 24 steps
+    code = main(["mc", "--model", "normal", "--beta", "2", "--n-iter", "24", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert " floor_step=None " in captured.out
 
 
 MC_BAD_INPUT_MESSAGES = {"--s": "s must be >= 1, got nan"}
@@ -467,3 +504,71 @@ def test_memory_error_exits_1_with_one_line(capsys, monkeypatch):
     assert captured.err == (
         "annealsolve: error: out of memory: Unable to allocate 56.0 GiB for an array\n"
     )
+
+
+def _strict_json(argv):
+    # NaN, Infinity and -Infinity are not JSON; parse_constant sees only those
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--format", "json"])
+    if code != 0:
+        # a refusal prints no JSON at all, only one error line
+        assert code == 1 and out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("annealsolve: error: ")
+        return None
+    return json.loads(out.getvalue(), parse_constant=reject)
+
+
+_nonzero = st.one_of(st.floats(-4.0, -1e-3), st.floats(1e-3, 4.0))
+_finite = st.floats(-4.0, 4.0)
+_beta = st.floats(0.1, 20.0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(a=_nonzero, b=_finite, r=st.integers(-5, 1), width=st.integers(1, 4))
+def test_qubo_json_is_strict(a, b, r, width):
+    doc = _strict_json(["qubo", f"--a={a!r}", f"--b={b!r}", f"--r={r}", f"--p={r + width}"])
+    assert doc["config"]["command"] == "qubo"
+
+
+@settings(max_examples=8, deadline=None)
+@given(model=st.sampled_from(["normal", "a2", "a4", "boltzmann:positive:r=-1:p=1",
+                              "boltzmann:signed:r=0:p=1"]),
+       beta=_beta)
+def test_rate_curve_json_is_strict(model, beta):
+    doc = _strict_json(["rate-curve", "--models", model, f"--beta-min={beta!r}",
+                        f"--beta-max={beta!r}", "--beta-steps", "1", "--a-steps", "3",
+                        "--c-steps", "5", "--gl-nodes", "8"])
+    assert len(doc["points"]) == 1
+
+
+@settings(max_examples=10, deadline=None)
+@given(model=st.sampled_from(["normal", "a2", "boltzmann:signed:r=-2:p=1"]),
+       a=_nonzero, b=_finite, beta=_beta, seed=st.integers(0, 2**32))
+def test_mc_json_is_strict(model, a, b, beta, seed):
+    doc = _strict_json(["mc", "--model", model, f"--a={a!r}", f"--b={b!r}", f"--beta={beta!r}",
+                        "--n-traj", "32", "--n-iter", "30", "--seed", str(seed)])
+    assert len(doc["median_log_error"]) == 31
+
+
+def test_mc_json_at_the_float_floor_is_strict():
+    # beta 4 floors before the fit window: slope and the floored medians are null
+    doc = _strict_json(["mc", "--model", "normal", "--beta", "4"])
+    assert doc["slope"] is None and doc["floor_step"] == 19
+
+
+@settings(max_examples=10, deadline=None)
+@given(a=_nonzero, b=_finite, beta=_beta, interval=st.booleans(),
+       d=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2, unique=True))
+def test_limit_check_json_is_strict(a, b, beta, interval, d):
+    argv = ["limit-check", f"--a={a!r}", f"--b={b!r}", f"--beta={beta!r}", "--ranges=-2:1,-5:1"]
+    if interval:
+        argv += ["--mode", "interval", f"--d1={d[0]!r}", f"--d2={d[1]!r}"]
+    doc = _strict_json(argv)
+    if doc is None:
+        assert interval  # an interval too narrow to resolve is refused
+        return
+    assert [row["n_points"] for row in doc["rows"]] == ([8, 64] if interval else [15, 127])

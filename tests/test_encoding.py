@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import annealsolve.encoding
 from annealsolve import (
     BitRange,
     SupportKind,
@@ -123,3 +124,39 @@ def test_decode_matches_enumeration():
         bits, values = enumerate_patterns(spec)
         for row, value in zip(bits, values):
             assert decode(row.tolist(), spec) == value
+
+
+def _oracle_specs(max_bits=12):
+    # every kind and every width up to max_bits qubits, at several exponents
+    for kind in ALL_KINDS:
+        for r in (-9, -3, 0, 2):
+            for width in range(1, max_bits + 1):
+                spec = SupportSpec(kind, BitRange(r, r + width))
+                if spec.n_bits <= max_bits:
+                    yield spec
+
+
+def test_support_equals_the_pattern_oracle_without_patterns(monkeypatch):
+    specs = list(_oracle_specs())
+    oracles = [np.unique(enumerate_patterns(spec)[1] + 0.0) for spec in specs]
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return enumerate_patterns(spec)
+
+    monkeypatch.setattr(annealsolve.encoding, "enumerate_patterns", counting)
+    for spec, oracle in zip(specs, oracles):
+        values = enumerate_support(spec)
+        assert values.dtype == oracle.dtype
+        assert np.array_equal(values, oracle), spec
+        assert not np.signbit(values[values == 0.0]).any(), spec
+    assert len(specs) > 100
+    assert calls == []
+
+
+def test_enumerators_share_one_size_guard():
+    spec = SupportSpec(SupportKind.SIGNED_SYMMETRIC, BitRange(-30, 0))
+    for enumerate_ in (enumerate_support, enumerate_patterns):
+        with pytest.raises(SupportTooLargeError, match="^31 bits exceeds enumeration limit 30$"):
+            enumerate_(spec)

@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special as sc
 
+import annealsolve
 from annealsolve import (
     BitRange,
     BoltzmannModel,
@@ -11,6 +17,7 @@ from annealsolve import (
     McOutcome,
     NormalModel,
     SupportKind,
+    SupportTooLargeError,
     ks_discrete_vs_continuous,
     limit_check,
     log_abs_normal_mean_check,
@@ -19,7 +26,7 @@ from annealsolve import (
     preset,
     solve,
 )
-from annealsolve.experiments import _trunc_normal_cdf
+from annealsolve.dist import trunc_normal_cdf
 
 SD_LOG_ABS_NORMAL = math.pi / math.sqrt(8.0)  # sd of ln|xi|, xi ~ N(0,1)
 
@@ -96,6 +103,23 @@ def test_ensemble_medians_equal_individual_solves(model, beta):
     assert summary.median_log_error[-1] < summary.median_log_error[0] - 10.0
 
 
+def test_mc_floor_step_is_the_first_median_at_minus_inf():
+    summary = mc_convergence(NormalModel(), a=0.5, b=0.7, beta=3.0, n_traj=1000, n_iter=40, seed=0)
+    floored = np.isneginf(summary.median_log_error)
+    assert summary.floor_step == 22
+    assert floored[22:].all() and not floored[:22].any()
+    above = mc_convergence(NormalModel(), a=0.5, b=0.7, beta=3.0, n_traj=1000, n_iter=21, seed=0)
+    assert above.floor_step is None
+
+
+def test_mc_exact_start_converges_without_a_warning():
+    # b = 0: the start x = 0 is exact, so the log error is -inf from step 0;
+    # the outcome used to come from -inf - (-inf) = nan, with a RuntimeWarning
+    summary = mc_convergence(NormalModel(), a=0.5, b=0.0, beta=2.0, n_traj=8, n_iter=5)
+    assert summary.s_scaled_outcome is McOutcome.TO_ZERO
+    assert summary.floor_step == 0
+
+
 def test_rate_window_smaller_run():
     summary = mc_convergence(NormalModel(), a=0.5, b=0.7, beta=2.0, n_traj=400, n_iter=40, seed=17)
     assert -1.825 <= summary.slope <= -0.832
@@ -167,7 +191,7 @@ def test_trunc_normal_limit_cdf_matches_direct_formula(a, b, beta, interval):
     x = d1 + (d2 - d1) * np.arange(1 << 10) / (1 << 10)
     z1, z2 = sc.ndtr((d1 - mu) / sigma), sc.ndtr((d2 - mu) / sigma)
     direct = np.clip((sc.ndtr((x - mu) / sigma) - z1) / (z2 - z1), 0.0, 1.0)
-    np.testing.assert_allclose(_trunc_normal_cdf(x, mu, sigma, d1, d2), direct, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(trunc_normal_cdf(x, mu, sigma, d1, d2), direct, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("interval", [(5.0, 6.0), (-6.0, -5.0), (40.0, 41.0)])
@@ -179,3 +203,38 @@ def test_limit_check_interval_far_in_a_tail_is_finite(interval):
         rows = limit_check(1.0, 0.0, 20.0, [BitRange(-3, 3), BitRange(-7, 3)], interval=interval)
     for row in rows:
         assert 0.0 <= row.ks <= 1.0
+
+
+@pytest.mark.parametrize("interval,bits", [(None, 42), ((0.0, 1.0), 41)])
+def test_limit_check_refuses_the_widest_range_before_any_row(monkeypatch, interval, bits):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row was computed before the size check")
+
+    monkeypatch.setattr("annealsolve.experiments.boltzmann_dist", no_rows)
+    message = f"^{bits} bits exceeds enumeration limit 30$"
+    with pytest.raises(SupportTooLargeError, match=message):
+        limit_check(1.0, 0.5, 2.0, [BitRange(-3, 3), BitRange(-40, 1)], interval=interval)
+
+
+def test_limit_check_22_bits_stays_under_1_gb():
+    # the signed grid of 2^23 - 1 values is 64 MB; no bit-pattern matrix is built
+    code = textwrap.dedent("""
+        import resource
+        from annealsolve import BitRange, limit_check
+        (row,) = limit_check(1.0, 0.5, 2.0, [BitRange(-20, 2)])
+        assert row.n_points == 2**23 - 1 and 0.0 < row.ks < 1e-5, row
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(annealsolve.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    peak_kib = int(proc.stdout)  # Linux reports ru_maxrss in KiB
+    assert peak_kib < 1 << 20
+
+
+def test_limit_check_refuses_an_interval_too_narrow_to_resolve():
+    # both tail masses of [0, 1e-278] round to one double, so the limit CDF is 0/0;
+    # it used to print ks = nan (and a RuntimeWarning), which is not a number to report
+    with pytest.raises(ValueError, match="too narrow to resolve"):
+        limit_check(-1.0, 0.0, 1.0, [BitRange(-2, 1)], interval=(0.0, 1.2217363872346276e-278))

@@ -1,8 +1,11 @@
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from annealsolve import (
     BitRange,
@@ -36,6 +39,31 @@ def test_normalize_preserves_solution_exactly():
         inst = normalize(a0, b0)
         assert 0.5 <= inst.a < 1.0
         assert inst.b / inst.a == b0 / a0
+
+
+def _normal_or_zero(x: float) -> bool:
+    return x == 0.0 or (math.isfinite(x) and abs(x) >= sys.float_info.min)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: x != 0.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_normalize_keeps_the_exact_solution_property(a0, b0):
+    # while the rescaled b and the quotient stay normal, scaling both sides
+    # by the same power of two changes no bit of b/a
+    shift = -math.frexp(a0)[1]
+    try:
+        b_scaled = math.ldexp(b0, shift)
+    except OverflowError:
+        b_scaled = math.inf
+    assume(_normal_or_zero(b_scaled) and _normal_or_zero(b0 / a0))
+    inst = normalize(a0, b0)
+    assert 0.5 <= inst.a < 1.0
+    assert inst.shift == shift
+    assert inst.a == math.ldexp(abs(a0), shift)
+    assert inst.b / inst.a == b0 / a0
 
 
 @pytest.mark.parametrize(
