@@ -299,9 +299,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Join a negative number to the flag before it: "--b -1e-5" -> "--b=-1e-5".
+
+    argparse reads a token that starts with "-" as an option unless it has
+    the form -1 or -.5, so a value like -1e-5 or -inf would be taken for an
+    unknown option; joined to its flag it is always read as the value.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _is_negative_number(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
+def _is_negative_number(token: str) -> bool:
+    if not token.startswith("-"):
+        return False
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_join_negative_values(argv))
     try:
         return args.func(args)
     except ModelSpecError as exc:

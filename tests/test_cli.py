@@ -551,6 +551,11 @@ def test_rate_curve_json_is_strict(model, beta):
 def test_mc_json_is_strict(model, a, b, beta, seed):
     doc = _strict_json(["mc", "--model", model, f"--a={a!r}", f"--b={b!r}", f"--beta={beta!r}",
                         "--n-traj", "32", "--n-iter", "30", "--seed", str(seed)])
+    if doc is None:
+        # the normal model's zero-exponent first step divides by |b| and
+        # refuses a b whose reciprocal overflows
+        assert model == "normal" and abs(b) < 1e-300
+        return
     assert len(doc["median_log_error"]) == 31
 
 
@@ -572,3 +577,49 @@ def test_limit_check_json_is_strict(a, b, beta, interval, d):
         assert interval  # an interval too narrow to resolve is refused
         return
     assert [row["n_points"] for row in doc["rows"]] == ([8, 64] if interval else [15, 127])
+
+
+# every float flag of every command, in a valid command line
+_FLOAT_FLAGS = [
+    (["solve", "--model", "normal", "--a", "1", "--b", "0.5", "--beta", "1", "--tol", "0",
+      "--max-iter", "3"], ("--a", "--b", "--beta", "--tol")),
+    (["qubo", "--a", "0.7", "--b", "0.5", "--r", "-3", "--p", "1"], ("--a", "--b")),
+    (["rate-curve", "--models", "a4", "--beta-min", "1", "--beta-max", "2", "--beta-steps", "2",
+      "--a-steps", "3", "--c-steps", "5", "--gl-nodes", "8"], ("--beta-min", "--beta-max")),
+    (["mc", "--model", "normal", "--a", "0.5", "--b", "0.7", "--beta", "2", "--s", "1",
+      "--n-traj", "16", "--n-iter", "5"], ("--a", "--b", "--beta", "--s")),
+    (["limit-check", "--a", "1", "--b", "0.5", "--beta", "1", "--ranges=-3:1",
+      "--mode", "interval", "--d1", "-1", "--d2", "1"], ("--a", "--b", "--beta", "--d1", "--d2")),
+]
+
+
+@pytest.mark.parametrize("argv,flag", [(argv, flag) for argv, flags in _FLOAT_FLAGS for flag in flags],
+                         ids=lambda p: p if isinstance(p, str) else p[0])
+@pytest.mark.parametrize("value", ["-1e-5", "-2.5E+1", "-inf"])
+def test_negative_float_in_exponent_form_parses_like_the_joined_form(capsys, argv, flag, value):
+    at = argv.index(flag)
+    split = [*argv[:at + 1], value, *argv[at + 2:]]
+    joined = [*argv[:at], f"{flag}={value}", *argv[at + 2:]]
+    results = []
+    for line in (split, joined):
+        code = main(line)
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    assert results[0] == results[1]
+    assert results[0][0] in (0, 1)  # a value the command refuses, never a usage error
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc", "--model", "normal", "--n-traj", "32", "--n-iter", "30"],
+    ["solve", "--model", "normal", "--paper-l0"],
+])
+def test_zero_exponent_step_on_a_subnormal_residual_exits_1(capsys, argv):
+    # normalizing a = -1 halves b to 1.1e-309, and 1/|b| overflows
+    code = main([*argv, "--a=-1.0", "--b=2.225073858507203e-309", "--beta=1.0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "annealsolve: error: the zero-exponent first step overflows: 1/|b - a*x| is infinite "
+        "for the residual 1.1125369292536e-309\n"
+    )
