@@ -108,7 +108,11 @@ def mc_convergence(
         res = inst.b - inst.a * x
         active = ~frozen & (res != 0.0)
         if np.any(active):
-            x[active] = _advance(x[active], inst, model, beta, u[active, n], l0_zero and n == 0)[0]
+            # the zero-exponent first step's c = 1/|res| overflows to inf for a
+            # residual below 2^-1024, which the quantile takes (q = 1/(a c) + ...),
+            # and an iterate that overflows is frozen below, so the warning is noise
+            with np.errstate(over="ignore"):
+                x[active] = _advance(x[active], inst, model, beta, u[active, n], l0_zero and n == 0)[0]
         abs_x = np.abs(x)
         diverged |= abs_x > DIVERGENCE_THRESHOLD
         frozen |= abs_x > _FREEZE_AT

@@ -261,7 +261,12 @@ def _r_profile_continuous(
     u_rows = np.broadcast_to(u, shape).reshape(-1, shape[-1])
     a_rows = None if np.ndim(a) == 0 else np.reshape(a, (-1, 1, 1))
     m, n = u_rows.shape
-    near = np.empty((3, m, n))
+    # the normal maximand |1 - c a (1/(a c) + s)| = c a |s| is linear in c,
+    # so the grid endpoint c = 2 is already the maximum; Boltzmann quantiles
+    # are piecewise constant in c, so the dense grid alone is used for them
+    refine = refine and c_steps > 2 and not isinstance(model, (NormalModel, BoltzmannModel))
+    # the best grid value, and its two neighbours where the maximiser reads them
+    near = np.empty((3 if refine else 1, m, n))
     best = np.empty((m, n), dtype=np.intp)
     # whole rows per tile while a row fits, else equal column tiles per row.
     # The sampler's tile size serves here too: the grid pass of one a1 or a4
@@ -276,13 +281,10 @@ def _r_profile_continuous(
             f = _maximand(q, u_rows[i:i + rows, None, j:j + cols], c[:, None], a_tile, beta)
             k = np.argmax(f, axis=1)
             best[i:i + rows, j:j + cols] = k
-            around = np.take_along_axis(f, _around(k, c_steps, axis=1), axis=1)
-            near[:, i:i + rows, j:j + cols] = np.moveaxis(around, 1, 0)
-    # the normal maximand |1 - c a (1/(a c) + s)| = c a |s| is linear in c,
-    # so the grid endpoint c = 2 is already the maximum; Boltzmann quantiles
-    # are piecewise constant in c, so the dense grid alone is used for them
-    if not refine or c_steps <= 2 or isinstance(model, (NormalModel, BoltzmannModel)):
-        return near.max(axis=0).reshape(shape)
+            at = _around(k, c_steps, axis=1) if refine else k[:, None]
+            near[:, i:i + rows, j:j + cols] = np.moveaxis(np.take_along_axis(f, at, axis=1), 1, 0)
+    if not refine:
+        return near[0].reshape(shape)
     h = 1.0 / (c_steps - 1)
     c_best = c[best.ravel()]
     u_nodes = u_rows.ravel()
@@ -331,12 +333,8 @@ def _boltzmann_pieces(
     counts = np.diff(ends, prepend=0, append=mids.size, axis=1)
     vals = np.abs(1.0 - (c[:, None] * a) * support)
     r = np.zeros(mids.size)
-    # several rows per repeat, in tiles of about _MAX_CELLS cells; a row that
-    # fills a tile alone is used as it is, with no copy by the reduction, and
-    # each tile is freed before the next is made, so its memory is reused.
-    # Per call at beta=2, a=0.7 (2-core Xeon): 0.26 / 0.56 / 1.12 / 2.31 ms
-    # at 4 / 8 / 16 / 32 support points against 0.75 / 1.03 / 1.50 / 2.76 ms
-    # with one repeat per row, and 116 against 118 ms at 1024 points
+    # several rows go through each repeat, and each tile is freed before the
+    # next is built, so its memory is reused
     rows = max(1, _MAX_CELLS // mids.size)
     for j in range(0, c_steps, rows):
         tile = np.repeat(vals[j:j + rows].ravel(), counts[j:j + rows].ravel())

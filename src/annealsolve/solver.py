@@ -104,20 +104,8 @@ def _advance(
     exponent to zero instead of classifying the residual.
     """
     res = inst.b - inst.a * x
-    if l0_zero:
-        # the zero-exponent step divides by |res| itself, which overflows for
-        # a residual below 2^-1024
-        l = np.zeros_like(res, dtype=int)
-        with np.errstate(over="ignore"):
-            c = 1.0 / np.abs(res)
-        if np.any(np.isinf(c)):
-            raise ValueError(
-                "the zero-exponent first step overflows: 1/|b - a*x| is infinite "
-                f"for the residual {float(np.min(np.abs(res)))!r}"
-            )
-    else:
-        l = residual_exponent_array(res)
-        c = 1.0 / np.ldexp(np.abs(res), l)
+    l = np.zeros_like(res, dtype=int) if l0_zero else residual_exponent_array(res)
+    c = 1.0 / np.ldexp(np.abs(res), l)
     q = q_value(model, u, c, inst.a, beta)
     delta = np.sign(res) * q
     return x + np.ldexp(delta, -l), res, l, c, q, delta

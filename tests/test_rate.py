@@ -564,8 +564,8 @@ def test_r_profile_matches_dense_golden_reference(beta):
 def test_tiny_grid_cells_make_few_kernel_calls():
     # the grids of the CLI cardinality test.  Fixed golden sections over c
     # and a made 425 kernel calls in every cell; the maximiser makes about
-    # 60 on average, more in the few cells where a check probe sends it to
-    # the golden section
+    # 60 on average, and up to 248 in the few cells where a check probe
+    # sends the search over a to the golden section
     calls = Counter()
     a2 = preset("a2")
 
@@ -577,7 +577,7 @@ def test_tiny_grid_cells_make_few_kernel_calls():
     rate_curve([counted], betas, a_steps=3, c_steps=5, gl_nodes=8)
     assert len(calls) == betas.size
     assert sum(calls.values()) <= 200 * betas.size
-    assert max(calls.values()) < 425
+    assert max(calls.values()) <= 260
 
 
 def _never_called(u, c, a, beta):
