@@ -41,14 +41,12 @@ from .sampler import (
     q_value,
 )
 from .solver import (
-    ExactSolutionSignal,
     IterationTrace,
     ProblemInstance,
     normalize,
     replay_errors,
     residual_exponent,
     solve,
-    step,
 )
 
 __version__ = "0.1.0"
@@ -62,7 +60,6 @@ __all__ = [
     "E_func",
     "E_max",
     "EULER_GAMMA",
-    "ExactSolutionSignal",
     "IterationTrace",
     "LOG_ABS_NORMAL_MEAN",
     "LimitCheckRow",
@@ -101,5 +98,4 @@ __all__ = [
     "residual_exponent",
     "solve",
     "std_normal_quantile",
-    "step",
 ]

@@ -22,7 +22,7 @@ from .encoding import BitRange
 from .experiments import limit_check, mc_convergence
 from .qubo import build_qubo, exhaustive_deviation, export_qubo
 from .rate import rate_curve, rate_points_to_csv
-from .sampler import ModelSpecError, NormalModel, parse_model_spec
+from .sampler import ModelSpecError, parse_model_spec
 from .solver import normalize, solve
 
 OUTDIR_ENV = "ANNEALSOLVE_OUTDIR"
@@ -128,21 +128,27 @@ def cmd_rate_curve(args) -> int:
 
 def cmd_mc(args) -> int:
     model = parse_model_spec(args.model)
+    if args.dump_count is not None and args.dump_traces is None:
+        raise ModelSpecError("--dump-count requires --dump-traces")
+    if args.dump_count is None:
+        args.dump_count = 10  # set here, so the config header shows the count in effect
+    elif args.dump_count < 1:
+        raise ModelSpecError(f"--dump-count must be at least 1, got {args.dump_count}")
     summary = mc_convergence(
         model, a=args.a, b=args.b, beta=args.beta, s=args.s,
         n_traj=args.n_traj, n_iter=args.n_iter, seed=args.seed,
     )
     if args.dump_traces is not None:
         # re-run a handful of trajectories individually; stream t of the
-        # ensemble and solve(stream=t) draw identical variates
+        # ensemble and solve(stream=t) draw identical variates and share the
+        # ensemble's first-step convention
         inst = normalize(args.a, args.b)
         directory = _resolve_out(args.dump_traces)
         os.makedirs(directory, exist_ok=True)
         for t in range(min(args.n_traj, args.dump_count)):
             trace = solve(
                 inst, model, beta=args.beta, seed=args.seed,
-                max_iter=args.n_iter, stream=t,
-                l0_zero=isinstance(model, NormalModel),
+                max_iter=args.n_iter, stream=t, l0_zero=summary.l0_zero,
             )
             with open(os.path.join(directory, f"traj{t:04d}.csv"), "w") as handle:
                 handle.write(_csv_header(args) + trace.to_csv())
@@ -199,6 +205,8 @@ def cmd_limit_check(args) -> int:
         if args.d1 is None or args.d2 is None:
             raise ModelSpecError("--mode interval requires --d1 and --d2")
         interval = (args.d1, args.d2)
+    elif args.d1 is not None or args.d2 is not None:
+        raise ModelSpecError("--d1 and --d2 apply only to --mode interval")
     rows = limit_check(args.a, args.b, args.beta, ranges, interval=interval)
     if args.format == "json":
         payload = {
@@ -278,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--format", choices=("csv", "json"), default="json")
     p_mc.add_argument("--dump-traces", metavar="DIR",
                       help="also write individual trajectory traces for debugging")
-    p_mc.add_argument("--dump-count", type=int, default=10)
+    p_mc.add_argument("--dump-count", type=int,
+                      help="number of traces to write with --dump-traces (default 10)")
     p_mc.add_argument("--out")
     p_mc.set_defaults(func=cmd_mc)
 

@@ -47,6 +47,7 @@ class McSummary:
     n_traj: int
     n_iter: int
     s: float
+    l0_zero: bool  # whether the first step pinned its exponent to zero
     median_log_error: np.ndarray  # per step, including step 0
     slope: float
     floor_step: int | None  # first step whose median is -inf (the float floor), if any
@@ -132,6 +133,7 @@ def mc_convergence(
         n_traj=n_traj,
         n_iter=n_iter,
         s=s,
+        l0_zero=l0_zero,
         median_log_error=median_log,
         slope=_lsq_slope(median_log),
         floor_step=int(floored[0]) if floored.size else None,

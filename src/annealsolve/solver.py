@@ -26,10 +26,6 @@ from .sampler import CorrectionModel, check_finite_positive, model_id, q_value
 TRACE_COLUMNS = ("n", "x", "residual", "l", "c", "eta", "delta", "multiplier")
 
 
-class ExactSolutionSignal(Exception):
-    """Raised by step() on a zero residual: the iterate is already exact."""
-
-
 @dataclass(frozen=True)
 class ProblemInstance:
     """Equation a*x = b rescaled so that 1/2 <= a < 1.
@@ -80,19 +76,6 @@ def residual_exponent_array(res: np.ndarray) -> np.ndarray:
     return (mantissa == 0.5) - exponent
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """One refinement step: the state it saw and the correction it applied."""
-
-    x: float
-    residual: float
-    l: int
-    c: float
-    eta: float
-    delta: float
-    multiplier: float
-
-
 def _advance(
     x: np.ndarray, inst: ProblemInstance, model: CorrectionModel, beta: float,
     u: np.ndarray, l0_zero: bool = False,
@@ -109,20 +92,6 @@ def _advance(
     q = q_value(model, u, c, inst.a, beta)
     delta = np.sign(res) * q
     return x + np.ldexp(delta, -l), res, l, c, q, delta
-
-
-def step(
-    x: float, inst: ProblemInstance, model: CorrectionModel, beta: float, eta: float
-) -> tuple[float, StepRecord]:
-    """One refinement step from iterate x; raises on an exact iterate."""
-    if inst.b - inst.a * x == 0.0:
-        raise ExactSolutionSignal(f"x = {x} solves the equation exactly")
-    x_next, res, l, c, q, delta = _advance(x, inst, model, beta, eta)
-    record = StepRecord(
-        x=x, residual=float(res), l=int(l), c=float(c), eta=eta, delta=float(delta),
-        multiplier=float(1.0 - inst.a * c * q),
-    )
-    return float(x_next), record
 
 
 @dataclass(frozen=True)

@@ -343,6 +343,35 @@ def test_mc_trace_dump_matches_ensemble(capsys, tmp_path):
     assert dumped[1].split(",")[5] == repr(float(trace.eta[0]))
 
 
+def test_mc_normal_trace_dump_replays_the_zero_exponent_first_step(capsys, tmp_path):
+    code, _ = run_cli(capsys, "mc", "--model", "normal", "--beta", "2", "--b", "0.2",
+                      "--n-traj", "4", "--n-iter", "3", "--dump-traces", str(tmp_path))
+    assert code == 0
+    from annealsolve import normalize, solve
+
+    # |b| = 0.2 classifies as l = 2; the normal ensemble pins step 0 to l = 0
+    trace = solve(normalize(0.5, 0.2), NormalModel(), beta=2.0, seed=0, max_iter=3,
+                  l0_zero=True)
+    dumped = (tmp_path / "traj0000.csv").read_text()
+    assert dumped.endswith("\n" + trace.to_csv())
+    assert data_lines(dumped)[1].split(",")[3] == "0"
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--dump-count", "3"], "--dump-count requires --dump-traces"),
+    (["--dump-traces", "DIR", "--dump-count", "-2"], "--dump-count must be at least 1, got -2"),
+    (["--dump-traces", "DIR", "--dump-count", "0"], "--dump-count must be at least 1, got 0"),
+])
+def test_mc_dump_count_without_effect_is_a_usage_error(capsys, tmp_path, flags, message):
+    flags = [str(tmp_path / "dump") if f == "DIR" else f for f in flags]
+    with pytest.raises(SystemExit) as err:
+        main(["mc", "--model", "a2", "--beta", "2", "--n-traj", "4", "--n-iter", "3", *flags])
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert captured.out == "" and message in captured.err
+    assert not (tmp_path / "dump").exists()
+
+
 def test_limit_check_monotone_column(capsys):
     code, out = run_cli(capsys, "limit-check", "--a", "1", "--b", "0.5", "--beta", "1",
                         "--ranges=-3:3,-7:3,-11:3")
@@ -362,6 +391,35 @@ def test_limit_check_interval_requires_bounds(capsys):
                         "--format", "json")
     assert code == 0
     assert json.loads(out)["rows"][0]["n_points"] == 64
+
+
+@pytest.mark.parametrize("flags", [["--d1", "0", "--d2", "1"], ["--d1", "0"], ["--d2", "1"],
+                                   ["--mode", "full-line", "--d2", "1"]])
+def test_limit_check_bounds_without_interval_mode_are_a_usage_error(capsys, flags):
+    with pytest.raises(SystemExit) as err:
+        main(["limit-check", "--a", "1", "--b", "0.5", "--beta", "1", "--ranges=-3:3", *flags])
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert captured.out == ""
+    assert "--d1 and --d2 apply only to --mode interval" in captured.err
+
+
+def test_limit_check_without_ranges_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["limit-check", "--a", "1", "--b", "0.5", "--beta", "1", "--ranges", ","])
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert "--ranges must name at least one r:p pair" in captured.err
+
+
+def test_dash_token_that_is_not_a_number_stays_an_option(capsys):
+    # only negative numbers are joined to the flag before them, so "--model -x"
+    # leaves --model without its value
+    with pytest.raises(SystemExit) as err:
+        main(["solve", "--a", "0.5", "--b", "0.7", "--beta", "2", "--model", "-x"])
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert "--model: expected one argument" in captured.err
 
 
 @pytest.mark.parametrize("flags,message", [

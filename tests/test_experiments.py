@@ -91,11 +91,13 @@ def test_ensemble_medians_equal_individual_solves(model, beta):
     # walk the same iterates; an early-stopped trace keeps its final iterate
     a, b, n_traj, n_iter, seed = 0.5, 0.7, 48, 30, 11
     summary = mc_convergence(model, a, b, beta, n_traj=n_traj, n_iter=n_iter, seed=seed)
+    # only the normal model takes the zero-exponent first step
+    assert summary.l0_zero is isinstance(model, NormalModel)
     inst = normalize(a, b)
     paths = np.empty((n_traj, n_iter + 1))
     for t in range(n_traj):
         trace = solve(inst, model, beta=beta, seed=seed, max_iter=n_iter, stream=t,
-                      l0_zero=isinstance(model, NormalModel))
+                      l0_zero=summary.l0_zero)
         paths[t] = np.pad(trace.x, (0, n_iter + 1 - trace.x.size), mode="edge")
     with np.errstate(divide="ignore"):
         medians = np.median(np.log(np.abs(inst.solution - paths)), axis=0)

@@ -26,6 +26,11 @@ def test_nan_interval_end_in_a_spec_is_a_spec_error():
         parse_model_spec("truncnormal:d1=nan:d2=1")
 
 
+def test_empty_value_is_a_malformed_token():
+    with pytest.raises(ModelSpecError, match="malformed key=value token 'd1=' at position 12"):
+        parse_model_spec("truncnormal:d1=:d2=1")
+
+
 def test_kinds_are_read_case_blind_and_unknown_kinds_report_their_position():
     signed = BoltzmannModel(SupportKind.SIGNED_SYMMETRIC, BitRange(0, 1))
     assert parse_model_spec("boltzmann:kind=SIGNED:r=0:p=1") == signed

@@ -138,5 +138,21 @@ def test_unknown_format_rejected():
     problem = build_qubo(0.5, 0.5, BitRange(-1, 0))
     with pytest.raises(ValueError):
         export_qubo(problem, "xml")
+
+
+def test_coo_import_skips_blank_and_comment_lines():
+    problem = build_qubo(0.7, 0.5, BitRange(-2, 1))
+    lines = export_qubo(problem, "coo").splitlines()
+    text = "\n".join(["# written by hand", "", *lines[:2], "   ", "# a note", *lines[2:], ""])
+    back = import_qubo(text, "coo")
+    assert back.coefficients == problem.coefficients
+    assert (back.range, back.offset, back.a, back.b) == (
+        problem.range, problem.offset, problem.a, problem.b)
+
+
+def test_coo_import_without_header_is_rejected():
+    body = export_qubo(build_qubo(0.7, 0.5, BitRange(-2, 1)), "coo").splitlines()[1:]
+    with pytest.raises(ValueError, match="missing '# qubo r p a b offset' header line"):
+        import_qubo("\n".join(body), "coo")
     with pytest.raises(ValueError):
         import_qubo("", "xml")

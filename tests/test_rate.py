@@ -319,6 +319,12 @@ def test_rate_inputs_outside_contract_raise(call):
         call()
 
 
+@pytest.mark.parametrize("u", [math.nan, -0.1, 1.5])
+def test_r_func_rejects_u_outside_the_unit_interval(u):
+    with pytest.raises(ValueError, match=r"u must lie in \[0, 1\]"):
+        r_func(preset("a2"), u, 0.7, 2.0)
+
+
 def test_rate_functional_bounds_observed_slope():
     model, beta = preset("a2"), 2.0
     a = 0.7

@@ -123,6 +123,13 @@ def test_q_value_validation():
         q_value(NormalModel(), 0.5, 1.0, 0.5, 0.0)
 
 
+def test_objects_that_are_not_models_are_type_errors():
+    with pytest.raises(TypeError, match="not a correction model"):
+        model_id(object())
+    with pytest.raises(TypeError, match="not a correction model"):
+        q_value(object(), 0.5, 1.5, 0.7, 2.0)
+
+
 @pytest.mark.parametrize("model", [NormalModel(), preset("a2"), POS21, SYM11])
 def test_monotone_in_u(model):
     us = np.linspace(0.0, 1.0, 401)

@@ -11,7 +11,6 @@ from annealsolve import (
     BitRange,
     BoltzmannModel,
     DegenerateProblemError,
-    ExactSolutionSignal,
     NormalModel,
     SupportKind,
     normalize,
@@ -19,9 +18,8 @@ from annealsolve import (
     replay_errors,
     residual_exponent,
     solve,
-    step,
 )
-from annealsolve.solver import TRACE_COLUMNS
+from annealsolve.solver import TRACE_COLUMNS, _advance
 
 
 def test_normalize_examples():
@@ -107,35 +105,29 @@ def test_residual_exponent_bracket_property():
 
 def test_step_normal_median_hits_solution():
     inst = normalize(0.5, 0.7)
-    x_next, record = step(0.0, inst, NormalModel(), beta=2.0, eta=0.5)
+    x_next, _, _, c, q, _ = _advance(0.0, inst, NormalModel(), 2.0, 0.5)
     assert x_next == pytest.approx(inst.solution, abs=1e-15)
-    assert record.multiplier == pytest.approx(0.0, abs=1e-15)
+    assert 1.0 - inst.a * c * q == pytest.approx(0.0, abs=1e-15)
 
 
 def test_step_sign_contract_for_positive_supports():
     model = BoltzmannModel(SupportKind.POSITIVE, BitRange(-2, 1))
     inst = normalize(0.5, -0.7)  # negative residual at x = 0
     for eta in (0.0, 0.3, 0.9):
-        _, record = step(0.0, inst, model, beta=1.0, eta=eta)
-        assert record.residual < 0.0
-        assert record.delta <= 0.0
+        _, res, _, _, _, delta = _advance(0.0, inst, model, 1.0, eta)
+        assert res < 0.0
+        assert delta <= 0.0
 
 
 def test_step_error_recursion_identity():
     # residual 1/2 sits on a bracket boundary: l = 1 and c = 1 exactly
     inst = normalize(0.5, 0.5)
-    x_next, record = step(0.0, inst, preset("a4"), beta=2.0, eta=0.5)
-    assert (record.l, record.c) == (1, 1.0)
+    x_next, _, l, c, q, _ = _advance(0.0, inst, preset("a4"), 2.0, 0.5)
+    assert (l, c) == (1, 1.0)
     ba = inst.solution
     lhs = ba - x_next
-    rhs = (ba - 0.0) * record.multiplier
+    rhs = (ba - 0.0) * (1.0 - inst.a * c * q)
     assert lhs == pytest.approx(rhs, abs=1e-14)
-
-
-def test_step_raises_on_exact_iterate():
-    inst = normalize(0.5, 0.7)
-    with pytest.raises(ExactSolutionSignal):
-        step(1.4, inst, NormalModel(), beta=2.0, eta=0.5)
 
 
 def test_solve_zero_b_is_immediately_exact():
@@ -143,6 +135,18 @@ def test_solve_zero_b_is_immediately_exact():
     assert trace.n_steps == 0
     assert trace.exact and trace.stopped
     assert trace.final_x == 0.0
+
+
+def test_replay_and_solve_stop_on_an_exact_hit():
+    # at beta 10 the register draws q = 1.5 = b/a from the first residual,
+    # after which the error recursion has nothing left to multiply
+    inst = normalize(0.5, 0.75)
+    model = BoltzmannModel(SupportKind.POSITIVE, BitRange(-1, 1))
+    assert replay_errors(inst, model, 10.0, [0.5] * 3).tolist() == [0.0, 1.5, 1.5, 1.5]
+    trace = solve(inst, model, beta=10.0, seed=0, max_iter=10)
+    assert trace.n_steps == 1
+    assert trace.exact and trace.stopped
+    assert trace.final_x == 1.5
 
 
 def test_solve_validates_arguments():
@@ -220,6 +224,43 @@ def test_trace_invariants(model):
             lhs = ba - trace.x[n + 1]
             rhs = (ba - trace.x[n]) * trace.multiplier[n]
             assert abs(lhs - rhs) <= 1e-14 * max(1.0, abs(ba - trace.x[n]))
+
+
+_TRACE_MODELS = [
+    NormalModel(), preset("a1"), preset("a2"), preset("a3"), preset("a4"),
+    BoltzmannModel(SupportKind.POSITIVE, BitRange(-1, 1)),
+    BoltzmannModel(SupportKind.POSITIVE, BitRange(-3, 1)),
+    BoltzmannModel(SupportKind.SIGNED_SYMMETRIC, BitRange(-2, 1)),
+]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    a=st.floats(0.5, 1.0, exclude_max=True),
+    b_mag=st.floats(0.05, 2.0),
+    b_negative=st.booleans(),
+    model=st.sampled_from(_TRACE_MODELS),
+    beta=st.floats(1.5, 5.0),
+    seed=st.integers(0, 2**32),
+)
+def test_trace_invariants_property(a, b_mag, b_negative, model, beta, seed):
+    # beta >= 1.5 is past every listed model's convergence threshold
+    inst = normalize(a, -b_mag if b_negative else b_mag)
+    assert (inst.a, inst.shift) == (a, 0)
+    trace = solve(inst, model, beta=beta, seed=seed, max_iter=40)
+    ba = inst.solution
+    positive = isinstance(model, BoltzmannModel) and model.kind is SupportKind.POSITIVE
+    for k in range(trace.n_steps):
+        res, l = float(trace.residual[k]), int(trace.l[k])
+        x0, x1 = float(trace.x[k]), float(trace.x[k + 1])
+        assert res == inst.b - inst.a * x0
+        assert 0.5 < math.ldexp(abs(res), l) <= 1.0
+        assert trace.c[k] == 1.0 / math.ldexp(abs(res), l)
+        assert x1 == x0 + math.ldexp(float(trace.delta[k]), -l)
+        defect = abs((ba - x1) - (ba - x0) * float(trace.multiplier[k]))
+        assert defect <= 1e-14 * max(1.0, abs(ba - x0))
+        if positive:
+            assert trace.delta[k] * res >= 0.0
 
 
 def test_l0_zero_affects_only_first_step():
