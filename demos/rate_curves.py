@@ -39,7 +39,7 @@ def main():
         BoltzmannModel(SupportKind.POSITIVE, BitRange(-2, 1)),      # 3 qubits
         BoltzmannModel(SupportKind.SIGNED_SYMMETRIC, BitRange(-1, 1)),  # 3 qubits
     ]
-    points = rate_curve(models, betas, threads=4, **resolution)
+    points = rate_curve(models, betas, **resolution)
 
     with open(args.out, "w") as handle:
         handle.write(rate_points_to_csv(points))

@@ -64,10 +64,8 @@ def _json_doc(args: argparse.Namespace, payload: dict) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def _jsonable(value):
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    return value
+def _jsonable(value: float) -> float | None:
+    return value if math.isfinite(value) else None
 
 
 def cmd_solve(args) -> int:
@@ -113,11 +111,8 @@ def cmd_rate_curve(args) -> int:
     if args.beta_steps < 1:
         raise ValueError(f"--beta-steps must be at least 1, got {args.beta_steps}")
     betas = np.linspace(args.beta_min, args.beta_max, args.beta_steps)
-    points = rate_curve(
-        models, betas,
-        a_steps=args.a_steps, c_steps=args.c_steps, gl_nodes=args.gl_nodes,
-        threads=args.threads,
-    )
+    points = rate_curve(models, betas, a_steps=args.a_steps, c_steps=args.c_steps,
+                        gl_nodes=args.gl_nodes)
     if args.format == "csv":
         _emit(_csv_header(args) + rate_points_to_csv(points), args.out)
     else:
@@ -269,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate.add_argument("--a-steps", type=int, default=65)
     p_rate.add_argument("--c-steps", type=int, default=257)
     p_rate.add_argument("--gl-nodes", type=int, default=256)
-    p_rate.add_argument("--threads", type=int, default=1)
     p_rate.add_argument("--format", choices=("csv", "json"), default="csv")
     p_rate.add_argument("--out")
     p_rate.set_defaults(func=cmd_rate_curve)

@@ -49,6 +49,7 @@ midpoints, not one search per law.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -323,7 +324,6 @@ def _boltzmann_pieces(
     cdf = boltzmann_cdf_rows(support, 1.0 / c, a, beta)
     inner = cdf[:, :-1]
     levels = np.unique(np.concatenate([inner.ravel(), (0.0, 1.0)]))
-    levels = levels[(levels >= 0.0) & (levels <= 1.0)]
     mids = 0.5 * (levels[1:] + levels[:-1])
     lengths = np.diff(levels)
     # row j's quantile index at mids[i] is #{k : cdf[j, k] < mids[i]} (the
@@ -491,22 +491,25 @@ def E_max(
     return _E_max_flag(model, beta, a_steps, c_steps, gl_nodes)[0]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def rate_curve(
-    models, betas,
-    a_steps: int = 65, c_steps: int = 257, gl_nodes: int = 256, threads: int = 1,
+    models, betas, a_steps: int = 65, c_steps: int = 257, gl_nodes: int = 256,
 ) -> list[RatePoint]:
     """E_max per (model, beta), as a long-format table sorted by (model_id, beta).
 
     Each distinct (model_id, beta) is one cell; a plain callable's id is its
     ``__name__``, and two different models sharing an id raise ValueError.
-    With threads > 1 the cells are evaluated in a pool, and the output order
-    does not depend on the thread count.
+    The cells run on a thread pool with one worker per cell, up to the usable
+    CPUs, or serially on one; order and values do not depend on the count.
     """
     models = list(models)
     if not models:
         raise ValueError("model list is empty")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
     betas = sorted({float(b) for b in betas})
     for beta in betas:
         _check_inputs(beta=beta, a_steps=a_steps, c_steps=c_steps, gl_nodes=gl_nodes)
@@ -524,8 +527,9 @@ def rate_curve(
         value, clamped = _E_max_flag(model, beta, a_steps, c_steps, gl_nodes)
         return RatePoint(model_id=mid, beta=beta, a=None, kind="Emax", value=value, clamped=clamped)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(len(cells), _usable_cpus())
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(work, cells))
     return [work(cell) for cell in cells]
 

@@ -110,8 +110,9 @@ def test_criterion_5_log_abs_normal_constant():
 def test_criterion_6_infinite_register_orderings():
     t0 = time.time()
     betas = np.linspace(0.5, 5.0, 20)
-    curves = {name: [ans.E_max(PRESETS[name], float(b)) for b in betas]
-              for name in ("a1", "a2", "a3", "a4")}
+    names = ("a1", "a2", "a3", "a4")
+    points = ans.rate_curve([PRESETS[name] for name in names], betas)
+    curves = {name: [pt.value for pt in points if pt.model_id == name] for name in names}
 
     neg_a4 = all(v < 0.0 for v in curves["a4"])
     best_a2 = all(
@@ -131,12 +132,17 @@ def test_criterion_6_infinite_register_orderings():
 def test_criterion_7_finite_register_orderings():
     t0 = time.time()
     beta = 4.0
-    pos = {1 - r: ans.E_max(BoltzmannModel(SupportKind.POSITIVE, BitRange(r, 1)), beta)
-           for r in (0, -1, -2, -3)}
-    sym = {2 - r: ans.E_max(BoltzmannModel(SupportKind.SIGNED_SYMMETRIC, BitRange(r, 1)), beta)
-           for r in (0, -1, -2)}
-    tn_pos = ans.E_max(PRESETS["a2"], beta)  # wide-register limit of the positive grids
-    tn_sym = ans.E_max(PRESETS["a1"], beta)  # and of the signed ones
+    pos_models = {1 - r: BoltzmannModel(SupportKind.POSITIVE, BitRange(r, 1))
+                  for r in (0, -1, -2, -3)}
+    sym_models = {2 - r: BoltzmannModel(SupportKind.SIGNED_SYMMETRIC, BitRange(r, 1))
+                  for r in (0, -1, -2)}
+    limits = [PRESETS["a2"], PRESETS["a1"]]
+    points = ans.rate_curve([*pos_models.values(), *sym_models.values(), *limits], [beta])
+    value = {pt.model_id: pt.value for pt in points}
+    pos = {nq: value[ans.model_id(m)] for nq, m in pos_models.items()}
+    sym = {nq: value[ans.model_id(m)] for nq, m in sym_models.items()}
+    tn_pos = value["a2"]  # wide-register limit of the positive grids
+    tn_sym = value["a1"]  # and of the signed ones
 
     sign_aware_faster = all(pos[nq] < sym[nq] for nq in (2, 3, 4))
     more_qubits_faster = all(pos[nq + 1] < pos[nq] for nq in (1, 2, 3))

@@ -124,23 +124,37 @@ def test_qubo_json_round_trip(capsys, tmp_path):
     assert problem.offset == 0.25
 
 
+def test_qubo_verify_failure_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(annealsolve.cli, "exhaustive_deviation", lambda problem: 1e-9)
+    code = main(["qubo", "--a", "0.5", "--b", "0.5", "--r", "-1", "--p", "0", "--verify"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "max deviation over 4 assignments: 1.000e-09\n"
+    assert "verification FAILED (deviation > 1e-12)" in captured.err
+
+
 def test_qubo_verify_size_guard():
     with pytest.raises(SystemExit) as err:
         main(["qubo", "--a", "0.5", "--b", "0.5", "--r", "-16", "--p", "0", "--verify"])
     assert err.value.code == 2
 
 
-def test_rate_curve_cardinality_and_threads(capsys):
-    argv = ("rate-curve", "--models", "a1,a2,a3,a4", "--beta-min", "0.5", "--beta-max", "5",
-            "--beta-steps", "40", "--a-steps", "3", "--c-steps", "5", "--gl-nodes", "8")
-    code, out1 = run_cli(capsys, *argv)
+def test_rate_curve_cardinality(capsys):
+    code, out = run_cli(capsys, "rate-curve", "--models", "a1,a2,a3,a4", "--beta-min", "0.5",
+                        "--beta-max", "5", "--beta-steps", "40", "--a-steps", "3",
+                        "--c-steps", "5", "--gl-nodes", "8")
     assert code == 0
-    rows = data_lines(out1)
+    rows = data_lines(out)
     assert rows[0] == "model_id,beta,a,kind,value,clamped"
     assert len(rows) == 1 + 160
-    code, out2 = run_cli(capsys, *argv, "--threads", "3")
-    rows2 = data_lines(out2)
-    assert rows2 == [r for r in rows]
+
+
+def test_rate_curve_threads_flag_is_gone():
+    # the pool is sized from the cells and the usable CPUs
+    with pytest.raises(SystemExit) as err:
+        main(["rate-curve", "--models", "a4", "--beta-min", "1", "--beta-max", "2",
+              "--beta-steps", "2", "--threads", "2"])
+    assert err.value.code == 2
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -512,17 +526,6 @@ def test_limit_check_unordered_range_exits_1(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "BitRange requires r < p" in captured.err and "Traceback" not in captured.err
-
-
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_rate_curve_threads_below_1_exit_1(capsys, threads):
-    code = main(["rate-curve", "--models", "a4", "--beta-min", "1", "--beta-max", "2",
-                 "--beta-steps", "2", "--threads", threads])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert f"threads must be at least 1, got {threads}" in captured.err
-    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("models,betas,want", [

@@ -1,4 +1,5 @@
 import math
+import os
 from collections import Counter
 
 import numpy as np
@@ -18,7 +19,7 @@ from annealsolve import (
     rate_curve,
     rate_points_to_csv,
 )
-from annealsolve import rng
+from annealsolve import rate, rng
 from annealsolve.cli import parse_model_spec
 from annealsolve.dist import boltzmann_cdf_rows
 from annealsolve.rate import (
@@ -31,6 +32,7 @@ from annealsolve.rate import (
     _REFINE_CHUNK,
     LOG_FLOOR,
     RATE_CSV_COLUMNS,
+    QuadratureDisagreement,
     _boltzmann_pieces,
     _E_boltzmann,
     _E_grid,
@@ -256,6 +258,12 @@ def test_richardson_check_is_quiet_on_a_grid():
             E_func(preset(name), 1.0, beta, check=True)  # raises on disagreement
 
 
+def test_richardson_check_raises_on_a_coarse_quadrature():
+    # two nodes against four: E(0.7, 0.5) moves from 0.2134 to -0.0453
+    with pytest.raises(QuadratureDisagreement, match="when doubling the 2-node quadrature"):
+        E_func(preset("a1"), 0.7, 0.5, gl_nodes=2, check=True)
+
+
 def test_normal_E_matches_closed_form():
     # for the unbounded normal model r(u) = sqrt(2)/beta |Phi^-1(u)|, whose
     # log-mean is -ln(beta e^(gamma/2)) independent of a
@@ -356,12 +364,46 @@ def test_rate_curve_shape_and_order():
     assert len(points) == 6
 
 
-def test_rate_curve_threads_do_not_change_output():
+def test_rate_curve_pool_does_not_change_output(monkeypatch):
+    monkeypatch.setattr(rate, "_usable_cpus", lambda: 4)
     models = [preset("a1"), preset("a4")]
     betas = [0.5, 1.5, 3.0]
-    seq = rate_curve(models, betas, a_steps=5, c_steps=17, gl_nodes=16, threads=1)
-    par = rate_curve(models, betas, a_steps=5, c_steps=17, gl_nodes=16, threads=4)
-    assert seq == par
+    grids = dict(a_steps=5, c_steps=17, gl_nodes=16)
+    points = rate_curve(models, betas, **grids)
+    assert [pt.value for pt in points] == [
+        E_max(model, beta, **grids) for model in models for beta in betas
+    ]
+
+
+@pytest.mark.parametrize("n_betas,cpus,sizes", [
+    (1, 4, []), (6, 4, [4]), (6, 1, []), (2, 4, [2]),
+])
+def test_rate_curve_pools_one_worker_per_cell_up_to_the_cpus(monkeypatch, n_betas, cpus, sizes):
+    made = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(rate, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(rate, "ThreadPoolExecutor", RecordingExecutor)
+    betas = np.arange(1.0, n_betas + 1.0)
+    points = rate_curve([exact_sampler], betas, a_steps=3, c_steps=2, gl_nodes=8)
+    assert [pt.beta for pt in points] == betas.tolist()
+    assert made == sizes
+
+
+def test_usable_cpus_counts_this_process():
+    assert 1 <= rate._usable_cpus() <= (os.cpu_count() or 1)
 
 
 def test_rate_curve_rejects_empty_models():
@@ -584,16 +626,6 @@ def test_tiny_grid_cells_make_few_kernel_calls():
     assert len(calls) == betas.size
     assert sum(calls.values()) <= 200 * betas.size
     assert max(calls.values()) <= 260
-
-
-def _never_called(u, c, a, beta):
-    raise AssertionError("no cell may run")
-
-
-@pytest.mark.parametrize("threads", [0, -3])
-def test_rate_curve_rejects_threads_below_1(threads):
-    with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
-        rate_curve([_never_called], [1.0], threads=threads)
 
 
 def test_rate_curve_evaluates_each_model_id_and_beta_once():
