@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import enum
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as sc
 
-from . import rng
+from . import rate, rng
 from .dist import boltzmann_dist, trunc_normal_cdf
 from .encoding import BitRange, SupportKind, SupportSpec, check_enumerable, enumerate_support
 from .sampler import CorrectionModel, NormalModel, check_finite_positive
@@ -32,6 +33,16 @@ DIVERGENCE_THRESHOLD = 1e6
 # trajectories past this magnitude stop updating; keeps extreme-beta runs
 # finite without touching the divergence classification above
 _FREEZE_AT = 1e12
+
+# trajectories per slice of the ensemble.  Two slices on two threads
+# against one serial slice, a2 at 40 steps (2-core Xeon, best of 7, two
+# runs): slower at 8192 trajectories (74-100 against 45-54 ms) and 16384
+# (105-142 against 90-115 ms), faster at 24576 (130-166 against 152-204
+# ms), 32768 (155-205 against 259-276 ms) and 50 000 (214-238 against
+# 309-345 ms).  Below the crossover the threads queue for the GIL between
+# many short numpy calls.  With 2^15, every slice of a pooled run holds
+# more than 2^14 trajectories.
+_SLICE = 1 << 15
 
 
 class McOutcome(enum.Enum):
@@ -89,35 +100,70 @@ def mc_convergence(
     other models classify the initial residual like any other.  The outcome
     is to-zero / to-infinity when the final median |s^n (x_n - b/a)| is below
     1e-6 / above 1e+6 times the initial error, inconclusive otherwise.
+
+    The ensemble is cut into slices of about _SLICE trajectories, which run
+    on a thread pool with one worker per slice, up to the usable CPUs, or
+    serially on one.  A worker takes its slice through one Philox block
+    (four steps) at a time, one step after another, drawing the block's
+    uniforms for the slice alone; the main thread then takes each step's
+    median over the whole ensemble.  Every step is elementwise per
+    trajectory, so the values do not depend on the slice or worker count.
     """
-    if not s >= 1.0:
-        raise ValueError(f"s must be >= 1, got {s}")
+    if not (math.isfinite(s) and s >= 1.0):
+        raise ValueError(f"s must be finite and >= 1, got {s}")
     if n_traj < 1 or n_iter < 1:
         raise ValueError(f"n_traj and n_iter must be >= 1, got {n_traj} and {n_iter}")
     check_finite_positive("beta", beta)
+    rng.check_key(seed, n_traj - 1)  # the last stream id, before any thread starts
     inst = normalize(a, b)
     l0_zero = isinstance(model, NormalModel)
-    u = rng.uniform_matrix(seed, n_traj, n_iter)
     ba = inst.solution
 
+    n_slices = -(-n_traj // _SLICE)
+    edges = [i * n_traj // n_slices for i in range(n_slices + 1)]
     x = np.zeros(n_traj)
-    median_log = np.empty(n_iter + 1)
     diverged = np.zeros(n_traj, dtype=bool)
     frozen = np.zeros(n_traj, dtype=bool)
+    log_error = np.empty((4, n_traj))  # ln|b/a - x| after each step of a block
+    median_log = np.empty(n_iter + 1)
     median_log[0] = _median_log_abs(ba - x)
-    for n in range(n_iter):
-        res = inst.b - inst.a * x
-        active = ~frozen & (res != 0.0)
-        if np.any(active):
+
+    def advance_slice(i: int, n0: int) -> None:
+        """Steps n0 to n0 + 3 (one Philox block) of the trajectories in slice i."""
+        t = slice(edges[i], edges[i + 1])
+        steps = range(n0, min(n0 + 4, n_iter))
+        u_block = rng.uniform_matrix(seed, range(t.start, t.stop), steps)
+        xs = x[t]
+        for k, n in enumerate(steps):
+            u, first = u_block[k], l0_zero and n == 0
+            active = ~frozen[t] & (inst.b - inst.a * xs != 0.0)
             # the zero-exponent first step's c = 1/|res| overflows to inf for a
             # residual below 2^-1024, which the quantile takes (q = 1/(a c) + ...),
-            # and an iterate that overflows is frozen below, so the warning is noise
+            # and an iterate that overflows is frozen below, so the warning is
+            # noise; errstate is per thread, so it is set here, in the worker
             with np.errstate(over="ignore"):
-                x[active] = _advance(x[active], inst, model, beta, u[active, n], l0_zero and n == 0)[0]
-        abs_x = np.abs(x)
-        diverged |= abs_x > DIVERGENCE_THRESHOLD
-        frozen |= abs_x > _FREEZE_AT
-        median_log[n + 1] = _median_log_abs(ba - x)
+                if active.all():
+                    xs[:] = _advance(xs, inst, model, beta, u, first)[0]
+                elif active.any():
+                    xs[active] = _advance(xs[active], inst, model, beta, u[active], first)[0]
+            abs_x = np.abs(xs)
+            diverged[t] |= abs_x > DIVERGENCE_THRESHOLD
+            frozen[t] |= abs_x > _FREEZE_AT
+            with np.errstate(divide="ignore"):
+                np.log(np.abs(ba - xs), out=log_error[k, t])
+
+    def run(map_slices) -> None:
+        for n0 in range(0, n_iter, 4):
+            list(map_slices(lambda i: advance_slice(i, n0), range(n_slices)))
+            for k in range(min(4, n_iter - n0)):
+                median_log[n0 + k + 1] = np.median(log_error[k], overwrite_input=True)
+
+    workers = min(rate._usable_cpus(), n_slices)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            run(pool.map)
+    else:
+        run(map)
 
     # median commutes with log, so this is ln median |s^n error|; with b = 0
     # the start x = 0 is already exact and the error stays 0

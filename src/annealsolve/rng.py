@@ -10,9 +10,11 @@ is the block index + 1 (words 1-3 zero).  Each block yields four 64-bit
 words, used in order, and a word maps to the uniform (raw >> 11) * 2**-53.
 This is numpy's ``Philox(key=[seed, stream])`` layout: ``generator``,
 ``uniforms`` and ``normals`` use numpy's generator directly, and
-``uniform_matrix`` evaluates the same rounds for many streams at once with
-numpy array arithmetic.  numpy's generator is the reference the vectorised
-kernel must match bit for bit.
+``uniform_matrix`` evaluates the same rounds with numpy array arithmetic
+for a range of streams over a range of steps, returned step-major (one
+contiguous row per step), so a caller can draw a block of steps for a slice
+of streams without holding the whole streams x steps matrix.  numpy's
+generator is the reference the vectorised kernel must match bit for bit.
 """
 
 from __future__ import annotations
@@ -31,14 +33,19 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
 # Tile of streams x blocks the kernel evaluates at once, so temporaries stay
-# small next to the output.  On 50 000 x 40 and 5000 x 400 (2-core Xeon),
-# tiles of 2**14 to 2**16 words ran within 10% of each other; 2**13- and
-# 2**17-word tiles were 10-30% slower.
-_CHUNK_STREAMS = 2048
-_CHUNK_BLOCKS = 16
+# small next to the output.  Whole matrices at 50 000 x 40 and 5000 x 400
+# ran within 10% of each other on tiles of 2**14 to 2**16 stream-blocks
+# (2-core Xeon).  mc_convergence asks for one block of up to 2**15 streams
+# per slice, from two threads at once.  Two threads drawing 25 000-stream
+# blocks (50 000 x 40 in all, best of 6, two runs) took 420-476 ms on
+# 2048-stream tiles, 225-291 on 4096, 149-191 on 8192, 110-113 on 16384
+# and 85 on 32768, against 86-209 ms serially: the threads queue for the
+# GIL between the many short numpy calls of narrow tiles.
+_CHUNK_STREAMS = 1 << 15
+_CHUNK_BLOCKS = 1
 
 
-def _check_key(seed: int, stream: int) -> None:
+def check_key(seed: int, stream: int) -> None:
     """Reject a seed or stream id that is not a 64-bit key word."""
     for name, value in (("seed", seed), ("stream", stream)):
         if not 0 <= value < _KEY_BOUND:
@@ -47,7 +54,7 @@ def _check_key(seed: int, stream: int) -> None:
 
 def generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Philox generator keyed by (seed, stream)."""
-    _check_key(seed, stream)
+    check_key(seed, stream)
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -62,22 +69,32 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The high word is summed from 32-bit limb products, none of which
     overflows 64 bits (Hacker's Delight, 8-2); the low word is numpy's
-    wrapping uint64 product.
+    wrapping uint64 product.  The limbs are updated in place: each
+    temporary is a fresh array, and allocating one per operation took three
+    times as long on 25 000-word operands.
     """
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
     x_lo, x_hi = x & _LOW32, x >> _SHIFT32
-    t = m_lo * x_hi + ((m_lo * x_lo) >> _SHIFT32)
-    u = m_hi * x_lo + (t & _LOW32)
-    hi = m_hi * x_hi + (t >> _SHIFT32) + (u >> _SHIFT32)
-    return np.uint64(m) * x, hi
+    t = m_lo * x_lo
+    t >>= _SHIFT32
+    t += m_lo * x_hi  # no carry: (2^32 - 1)^2 + 2^32 - 1 < 2^64
+    x_lo *= m_hi
+    x_lo += t & _LOW32
+    x_lo >>= _SHIFT32  # the carry out of the middle limb sum
+    x_hi *= m_hi
+    t >>= _SHIFT32
+    x_hi += t
+    x_hi += x_lo
+    return np.uint64(m) * x, x_hi
 
 
 def _philox4x64(ctr0: np.ndarray, seed: int, streams: np.ndarray) -> np.ndarray:
-    """Philox4x64-10 output words, shape (streams, blocks, 4).
+    """Philox4x64-10 output words, step-major: shape (4 * blocks, streams).
 
-    ctr0 has shape (1, blocks) and streams shape (streams, 1); counter words
+    ctr0 has shape (blocks, 1) and streams shape (1, streams); counter words
     1-3 are zero.  Operands broadcast, so the early rounds, where some words
-    depend on the block or the stream alone, work on small arrays.
+    depend on the block or the stream alone, work on small arrays.  Row
+    4 * i + w holds word w of block i, the variate of step 4 * i + w.
     """
     zero = np.zeros((1, 1), dtype=np.uint64)
     x0, x1, x2, x3 = ctr0, zero, zero, zero
@@ -87,27 +104,38 @@ def _philox4x64(ctr0: np.ndarray, seed: int, streams: np.ndarray) -> np.ndarray:
         lo0, hi0 = _mulhilo(_M0, x0)
         lo1, hi1 = _mulhilo(_M1, x2)
         x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-    return np.stack(np.broadcast_arrays(x0, x1, x2, x3), axis=-1)
+    words = np.stack(np.broadcast_arrays(x0, x1, x2, x3), axis=1)
+    return words.reshape(-1, streams.shape[1])
 
 
-def uniform_matrix(seed: int, n_streams: int, n: int) -> np.ndarray:
-    """Row t holds the uniforms of stream t; shape (n_streams, n).
+def uniform_matrix(seed: int, streams: range, steps: range) -> np.ndarray:
+    """Uniforms of a stream range over a step range, step-major.
 
-    Row t equals ``uniforms(seed, n, stream=t)`` bit for bit.
+    The result has shape (len(steps), len(streams)), one contiguous row per
+    step: entry [k, j] is the step ``steps[k]`` variate of stream
+    ``streams[j]``, equal bit for bit to
+    ``uniforms(seed, steps[k] + 1, stream=streams[j])[-1]``.  Both ranges
+    must be contiguous (step 1).
     """
-    _check_key(seed, max(n_streams - 1, 0))  # the last stream id
-    out = np.empty((n_streams, n))
-    n_blocks = -(-n // 4)
+    if streams.step != 1 or steps.step != 1:
+        raise ValueError("stream and step ranges must have step 1")
+    check_key(seed, streams.start)
+    check_key(seed, max(streams.stop - 1, streams.start))  # the last stream id
+    if steps.start < 0:
+        raise ValueError(f"steps must start at 0 or later, got {steps.start}")
+    n_streams, n0, n1 = len(streams), steps.start, steps.start + len(steps)
+    out = np.empty((n1 - n0, n_streams))
+    blocks = range(n0 // 4, -(-n1 // 4))
     for t0 in range(0, n_streams, _CHUNK_STREAMS):
         t1 = min(t0 + _CHUNK_STREAMS, n_streams)
-        streams = np.arange(t0, t1, dtype=np.uint64)[:, None]
-        for b0 in range(0, n_blocks, _CHUNK_BLOCKS):
-            b1 = min(b0 + _CHUNK_BLOCKS, n_blocks)
-            ctr0 = np.arange(b0 + 1, b1 + 1, dtype=np.uint64)[None, :]
-            words = _philox4x64(ctr0, seed, streams).reshape(t1 - t0, -1)
-            cols = min(4 * b1, n) - 4 * b0
-            np.multiply(words[:, :cols] >> np.uint64(11), 2.0**-53,
-                        out=out[t0:t1, 4 * b0:4 * b0 + cols])
+        ids = np.uint64(streams.start) + np.arange(t0, t1, dtype=np.uint64)[None, :]
+        for b0 in blocks[::_CHUNK_BLOCKS]:
+            b1 = min(b0 + _CHUNK_BLOCKS, blocks.stop)
+            ctr0 = np.arange(b0 + 1, b1 + 1, dtype=np.uint64)[:, None]
+            words = _philox4x64(ctr0, seed, ids)
+            lo, hi = max(n0, 4 * b0), min(n1, 4 * b1)
+            np.multiply(words[lo - 4 * b0:hi - 4 * b0] >> np.uint64(11), 2.0**-53,
+                        out=out[lo - n0:hi - n0, t0:t1])
     return out
 
 

@@ -60,3 +60,70 @@ def twos_complement_value(bits, r: int, p: int) -> float:
     for k, bit in enumerate(bits[:-1]):
         value += bit * math.ldexp(1.0, r + k)
     return value
+
+
+def uniform_matrix_oracle(seed: int, n_streams: int, n: int) -> np.ndarray:
+    """Row t holds the first n uniforms of stream t, from numpy's Philox.
+
+    One numpy generator per stream, keyed by a uint64 array: a Python list
+    key casts through float and silently gives another stream.
+    """
+    out = np.empty((n_streams, n))
+    for t in range(n_streams):
+        key = np.array([seed, t], dtype=np.uint64)
+        out[t] = np.random.Generator(np.random.Philox(key=key)).random(n)
+    return out
+
+
+def mc_convergence_oracle(model, a, b, beta, s, n_traj, n_iter, seed):
+    """mc_convergence as one whole-ensemble loop over a row-major uniform matrix.
+
+    Every step gathers the active trajectories and their uniforms, advances
+    them and scatters them back; the summary is assembled as mc_convergence
+    assembles it.
+    """
+    from annealsolve.experiments import (
+        _FREEZE_AT, DIVERGENCE_THRESHOLD, McOutcome, McSummary, _lsq_slope,
+    )
+    from annealsolve.sampler import NormalModel
+    from annealsolve.solver import _advance, normalize
+
+    inst = normalize(a, b)
+    l0_zero = isinstance(model, NormalModel)
+    u = uniform_matrix_oracle(seed, n_traj, n_iter)
+    ba = inst.solution
+    x = np.zeros(n_traj)
+    median_log = np.empty(n_iter + 1)
+    diverged = np.zeros(n_traj, dtype=bool)
+    frozen = np.zeros(n_traj, dtype=bool)
+    with np.errstate(divide="ignore", over="ignore"):
+        median_log[0] = np.median(np.log(np.abs(ba - x)))
+        for n in range(n_iter):
+            active = ~frozen & (inst.b - inst.a * x != 0.0)
+            if np.any(active):
+                x[active] = _advance(x[active], inst, model, beta, u[active, n], l0_zero and n == 0)[0]
+            abs_x = np.abs(x)
+            diverged |= abs_x > DIVERGENCE_THRESHOLD
+            frozen |= abs_x > _FREEZE_AT
+            median_log[n + 1] = np.median(np.log(np.abs(ba - x)))
+    shift = -math.inf if ba == 0.0 else median_log[-1] + n_iter * math.log(s) - median_log[0]
+    if shift < math.log(1e-6):
+        outcome = McOutcome.TO_ZERO
+    elif shift > math.log(1e6):
+        outcome = McOutcome.TO_INFINITY
+    else:
+        outcome = McOutcome.INCONCLUSIVE
+    floored = np.flatnonzero(np.isneginf(median_log))
+    return McSummary(
+        n_traj=n_traj, n_iter=n_iter, s=s, l0_zero=l0_zero, median_log_error=median_log,
+        slope=_lsq_slope(median_log), floor_step=int(floored[0]) if floored.size else None,
+        diverged_fraction=float(diverged.mean()), s_scaled_outcome=outcome,
+    )
+
+
+def summary_bits(summary) -> dict:
+    """An McSummary's fields, arrays and floats as their bytes, for == checks."""
+    return {
+        name: np.asarray(value).tobytes() if isinstance(value, (float, np.ndarray)) else value
+        for name, value in vars(summary).items()
+    }

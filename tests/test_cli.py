@@ -288,16 +288,18 @@ def test_mc_above_the_float_floor_gives_no_warning(capsys):
     assert " floor_step=None " in captured.out
 
 
-MC_BAD_INPUT_MESSAGES = {"--s": "s must be >= 1, got nan"}
-
-
-@pytest.mark.parametrize("flag,value", [("--n-traj", "0"), ("--n-iter", "-1"), ("--s", "nan")])
+@pytest.mark.parametrize("flag,value", [
+    ("--n-traj", "0"), ("--n-iter", "-1"), ("--s", "nan"), ("--s", "inf"),
+])
 def test_mc_bad_sizes_exit_1(capsys, flag, value):
     code = main(["mc", "--model", "normal", "--beta", "2", flag, value])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    message = MC_BAD_INPUT_MESSAGES.get(flag, "n_traj and n_iter must be >= 1")
+    if flag == "--s":
+        message = f"s must be finite and >= 1, got {value}"
+    else:
+        message = "n_traj and n_iter must be >= 1"
     assert message in captured.err and "Traceback" not in captured.err
 
 

@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special as sc
+from helpers import mc_convergence_oracle, summary_bits
 
 import annealsolve
 from annealsolve import (
@@ -18,12 +20,16 @@ from annealsolve import (
     NormalModel,
     SupportKind,
     SupportTooLargeError,
+    TruncNormalModel,
+    experiments,
     ks_discrete_vs_continuous,
     limit_check,
     log_abs_normal_mean_check,
     mc_convergence,
     normalize,
     preset,
+    rate,
+    rng,
     solve,
 )
 from annealsolve.dist import trunc_normal_cdf
@@ -62,12 +68,82 @@ def test_mc_determinism():
 
 
 def test_mc_validation():
-    for s in (0.5, math.nan):
-        with pytest.raises(ValueError, match="s must be >= 1"):
+    for s in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"s must be finite and >= 1, got {s}"):
             mc_convergence(NormalModel(), 0.5, 0.7, 1.0, s=s)
     for sizes in (dict(n_traj=0), dict(n_iter=0), dict(n_iter=-1)):
         with pytest.raises(ValueError, match="n_traj and n_iter must be >= 1"):
             mc_convergence(NormalModel(), 0.5, 0.7, 1.0, **sizes)
+
+
+@pytest.mark.parametrize("model,a,b,beta", [
+    (NormalModel(), 0.6, 0.9, 0.7),
+    (preset("a2"), 0.6, 0.9, 0.7),
+    (TruncNormalModel(-1.0, 1.5), 0.6, 0.9, 0.7),
+    (BoltzmannModel(SupportKind.SIGNED_SYMMETRIC, BitRange(-2, 1)), 0.6, 0.9, 0.7),
+    (BoltzmannModel(SupportKind.POSITIVE, BitRange(-3, 1)), 0.6, 0.9, 0.7),
+    # exact hits, then whole slices at the float floor
+    (NormalModel(), 0.5, 0.7, 1e3),
+    # diverging trajectories freeze while the rest of their slice moves
+    (NormalModel(), 0.6, 0.9, 0.25),
+    # b/a = 1.5 lies on the register grid, so trajectories hit it exactly
+    (BoltzmannModel(SupportKind.SIGNED_SYMMETRIC, BitRange(-2, 1)), 0.5, 0.75, 4.0),
+])
+def test_mc_convergence_matches_whole_array_oracle(monkeypatch, model, a, b, beta):
+    # slices of about 1334 trajectories span a tile edge of the Philox kernel
+    monkeypatch.setattr(rng, "_CHUNK_STREAMS", 1000)
+    monkeypatch.setattr(experiments, "_SLICE", 1500)
+    kwargs = dict(s=1.3, n_traj=4001, n_iter=40, seed=7)
+    ref = summary_bits(mc_convergence_oracle(model, a, b, beta, **kwargs))
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(rate, "_usable_cpus", lambda: cpus)
+        assert summary_bits(mc_convergence(model, a, b, beta, **kwargs)) == ref
+
+
+def test_mc_convergence_slices_survive_thread_switches(monkeypatch):
+    # more workers than this host may have cores, fourteen slices, and a
+    # switch interval short enough to interleave every numpy call: a slice
+    # that wrote into another's trajectories would change the summary
+    monkeypatch.setattr(experiments, "_SLICE", 300)
+    monkeypatch.setattr(rate, "_usable_cpus", lambda: 4)
+    args = (preset("a2"), 0.6, 0.9, 0.7)
+    kwargs = dict(s=1.0, n_traj=4001, n_iter=12, seed=5)
+    ref = summary_bits(mc_convergence_oracle(*args, **kwargs))
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=lambda: results.append(mc_convergence(*args, **kwargs)))
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert [summary_bits(r) for r in results] == [ref]
+
+
+@pytest.mark.parametrize("n_traj,cpus,sizes", [(100, 4, []), (50_000, 1, []), (50_000, 4, [2])])
+def test_mc_convergence_pools_one_worker_per_slice_up_to_the_cpus(monkeypatch, n_traj, cpus, sizes):
+    made = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(rate, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingExecutor)
+    summary = mc_convergence(preset("a2"), 0.5, 0.7, 2.0, n_traj=n_traj, n_iter=2)
+    assert summary.median_log_error.shape == (3,)
+    assert made == sizes
 
 
 @pytest.mark.parametrize(

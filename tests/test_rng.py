@@ -2,17 +2,9 @@
 
 import numpy as np
 import pytest
+from helpers import uniform_matrix_oracle
 
-from annealsolve import (
-    BitRange,
-    BoltzmannModel,
-    NormalModel,
-    SupportKind,
-    TruncNormalModel,
-    mc_convergence,
-    preset,
-    rng,
-)
+from annealsolve import rng
 
 CHUNK = rng._CHUNK_STREAMS
 
@@ -22,37 +14,57 @@ def numpy_row(seed, stream, n):
     return np.random.Generator(np.random.Philox(key=key)).random(n)
 
 
-def per_stream_uniform_matrix(seed, n_streams, n):
-    """One numpy generator per stream: the loop the kernel replaced."""
-    out = np.empty((n_streams, n))
-    for t in range(n_streams):
-        out[t] = numpy_row(seed, t, n)
-    return out
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**64 - 1])
 @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 41])
 def test_kernel_matches_numpy_philox(seed, n):
-    m = rng.uniform_matrix(seed, CHUNK + 1, n)
-    assert m.shape == (CHUNK + 1, n)
+    m = rng.uniform_matrix(seed, range(CHUNK + 1), range(n))
+    assert m.shape == (n, CHUNK + 1)
     for t in (0, 1, CHUNK - 1, CHUNK):  # both sides of the chunk boundary
-        np.testing.assert_array_equal(m[t], numpy_row(seed, t, n))
+        np.testing.assert_array_equal(m[:, t], numpy_row(seed, t, n))
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 @pytest.mark.parametrize("n_streams", [0, 1, 3])
 def test_kernel_small_and_block_tiled_shapes(seed, n_streams):
-    # long enough for two block tiles and a partial last block
+    # long enough for several block tiles and a partial last block
     n = 4 * rng._CHUNK_BLOCKS + 5
-    m = rng.uniform_matrix(seed, n_streams, n)
-    np.testing.assert_array_equal(m, per_stream_uniform_matrix(seed, n_streams, n))
+    m = rng.uniform_matrix(seed, range(n_streams), range(n))
+    np.testing.assert_array_equal(m, uniform_matrix_oracle(seed, n_streams, n).T)
+
+
+@pytest.mark.parametrize("seed", [3, 2**64 - 1])
+@pytest.mark.parametrize("steps", [range(0, 4), range(1, 3), range(3, 10), range(6, 7), range(5, 41)])
+def test_kernel_block_form_matches_numpy_philox(seed, steps):
+    # streams start off a tile edge and run across the next one
+    streams = range(CHUNK - 5, 2 * CHUNK + 2)
+    m = rng.uniform_matrix(seed, streams, steps)
+    assert m.shape == (len(steps), len(streams))
+    assert m.flags.c_contiguous
+    for j in (0, 4, 5, CHUNK - 1, CHUNK, len(streams) - 1):
+        np.testing.assert_array_equal(m[:, j], numpy_row(seed, streams[j], steps.stop)[steps.start:])
+
+
+def test_kernel_block_form_at_the_top_stream_id():
+    streams = range(2**64 - 3, 2**64)
+    m = rng.uniform_matrix(9, streams, range(2, 7))
+    for j, t in enumerate(streams):
+        np.testing.assert_array_equal(m[:, j], numpy_row(9, t, 7)[2:])
+
+
+@pytest.mark.parametrize("streams,steps", [
+    (range(0), range(5)), (range(7, 7), range(3, 9)), (range(4), range(0)),
+    (range(CHUNK + 3), range(6, 6)), (range(5, 2), range(2, 1)),
+])
+def test_kernel_empty_ranges(streams, steps):
+    m = rng.uniform_matrix(0, streams, steps)
+    assert m.shape == (len(steps), len(streams))
 
 
 def test_rows_replay_single_streams():
     # mc --dump-traces replays stream t through uniforms(stream=t)
-    m = rng.uniform_matrix(11, 6, 13)
+    m = rng.uniform_matrix(11, range(6), range(13))
     for t in range(6):
-        np.testing.assert_array_equal(m[t], rng.uniforms(11, 13, stream=t))
+        np.testing.assert_array_equal(m[:, t], rng.uniforms(11, 13, stream=t))
 
 
 def test_keys_outside_64_bits_are_rejected():
@@ -60,29 +72,14 @@ def test_keys_outside_64_bits_are_rejected():
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
             rng.uniforms(bad, 5)
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
-            rng.uniform_matrix(bad, 2, 5)
+            rng.uniform_matrix(bad, range(2), range(5))
         with pytest.raises(ValueError, match=r"stream must be in \[0, 2\*\*64\)"):
             rng.uniforms(0, 5, stream=bad)
+    for streams in (range(-1, 3), range(2**64 - 1, 2**64 + 1)):
+        with pytest.raises(ValueError, match=r"stream must be in \[0, 2\*\*64\)"):
+            rng.uniform_matrix(0, streams, range(5))
+    with pytest.raises(ValueError, match="step 1"):
+        rng.uniform_matrix(0, range(0, 6, 2), range(5))
+    with pytest.raises(ValueError, match="steps must start at 0"):
+        rng.uniform_matrix(0, range(2), range(-1, 5))
     np.testing.assert_array_equal(rng.uniforms(2**64 - 1, 5), numpy_row(2**64 - 1, 0, 5))
-
-
-@pytest.mark.parametrize(
-    "model",
-    [
-        NormalModel(),
-        preset("a2"),
-        TruncNormalModel(-1.0, 1.5),
-        BoltzmannModel(SupportKind.SIGNED_SYMMETRIC, BitRange(-2, 1)),
-        BoltzmannModel(SupportKind.POSITIVE, BitRange(-3, 1)),
-    ],
-)
-def test_mc_convergence_unchanged_by_kernel(model, monkeypatch):
-    kwargs = dict(a=0.6, b=0.9, beta=0.7, s=1.3, n_traj=CHUNK + 3, n_iter=40, seed=7)
-    fast = mc_convergence(model, **kwargs)
-    monkeypatch.setattr(rng, "uniform_matrix", per_stream_uniform_matrix)
-    ref = mc_convergence(model, **kwargs)
-    np.testing.assert_array_equal(fast.median_log_error, ref.median_log_error)
-    assert fast.slope == ref.slope or (np.isnan(fast.slope) and np.isnan(ref.slope))
-    assert (fast.diverged_fraction, fast.s_scaled_outcome) == (
-        ref.diverged_fraction, ref.s_scaled_outcome
-    )
