@@ -25,20 +25,8 @@ from .rate import rate_curve, rate_points_to_csv
 from .sampler import ModelSpecError, parse_model_spec
 from .solver import normalize, solve
 
-OUTDIR_ENV = "ANNEALSOLVE_OUTDIR"
-
-
-def _resolve_out(path: str | None) -> str | None:
-    if path is None:
-        return None
-    outdir = os.environ.get(OUTDIR_ENV)
-    if outdir and not os.path.isabs(path):
-        return os.path.join(outdir, path)
-    return path
-
 
 def _emit(text: str, path: str | None) -> None:
-    path = _resolve_out(path)
     if path is None:
         sys.stdout.write(text)
     else:
@@ -138,16 +126,21 @@ def cmd_mc(args) -> int:
         # ensemble and solve(stream=t) draw identical variates and share the
         # ensemble's first-step convention
         inst = normalize(args.a, args.b)
-        directory = _resolve_out(args.dump_traces)
-        os.makedirs(directory, exist_ok=True)
+        os.makedirs(args.dump_traces, exist_ok=True)
         for t in range(min(args.n_traj, args.dump_count)):
             trace = solve(
                 inst, model, beta=args.beta, seed=args.seed,
                 max_iter=args.n_iter, stream=t, l0_zero=summary.l0_zero,
             )
-            with open(os.path.join(directory, f"traj{t:04d}.csv"), "w") as handle:
+            with open(os.path.join(args.dump_traces, f"traj{t:04d}.csv"), "w") as handle:
                 handle.write(_csv_header(args) + trace.to_csv())
-    if summary.floor_step is not None:
+    if summary.floor_step == 0:
+        print(
+            "annealsolve: warning: the start x = 0 already solves a*x = b, so the median "
+            "error is exactly 0 at every step and no slope is fitted",
+            file=sys.stderr,
+        )
+    elif summary.floor_step is not None:
         print(
             f"annealsolve: warning: the median error is exactly 0 (the float floor) from "
             f"step {summary.floor_step} on; the slope is fitted only to the steps before it",

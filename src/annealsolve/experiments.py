@@ -5,6 +5,10 @@ used here are median-path statistics over many independent seeded
 trajectories (for the rate window and divergence claims of the normal model)
 and exact Kolmogorov-Smirnov distances between finite-register Boltzmann
 laws and their wide-register normal limits.
+
+The Monte Carlo ensemble is tiled here, and only here: each
+``rng.uniform_matrix`` call draws one Philox block (``rng.BLOCK_STEPS``
+steps) for one slice of at most ``_SLICE`` trajectories.
 """
 
 from __future__ import annotations
@@ -34,12 +38,17 @@ DIVERGENCE_THRESHOLD = 1e6
 # finite without touching the divergence classification above
 _FREEZE_AT = 1e12
 
-# trajectories per slice of the ensemble.  Two slices on two threads
-# against one serial slice, a2 at 40 steps (2-core Xeon, best of 7, two
-# runs): slower at 8192 trajectories (74-100 against 45-54 ms) and 16384
-# (105-142 against 90-115 ms), faster at 24576 (130-166 against 152-204
-# ms), 32768 (155-205 against 259-276 ms) and 50 000 (214-238 against
-# 309-345 ms).  Below the crossover the threads queue for the GIL between
+# trajectories per slice of the ensemble, and the one tile rule of its
+# Philox stream: a slice draws one block of its streams per uniform_matrix
+# call.  Two slices on two threads against one serial slice, a2 at 40 steps
+# (2-core Xeon, best of 7, two runs): slower at 8192 trajectories (74-100
+# against 45-54 ms) and 16384 (105-142 against 90-115 ms), faster at 24576
+# (130-166 against 152-204 ms), 32768 (155-205 against 259-276 ms) and
+# 50 000 (214-238 against 309-345 ms).  Narrower tiles inside each draw
+# lose too: two threads drawing 25 000-stream blocks (50 000 x 40 in all,
+# best of 6, two runs) took 420-476 ms on 2048-stream tiles, 225-291 on
+# 4096, 149-191 on 8192, 110-113 on 16384 and 85 on 32768, against 86-209
+# ms serially.  Below the crossover the threads queue for the GIL between
 # many short numpy calls.  With 2^15, every slice of a pooled run holds
 # more than 2^14 trajectories.
 _SLICE = 1 << 15
@@ -104,9 +113,10 @@ def mc_convergence(
     The ensemble is cut into slices of about _SLICE trajectories, which run
     on a thread pool with one worker per slice, up to the usable CPUs, or
     serially on one.  A worker takes its slice through one Philox block
-    (four steps) at a time, one step after another, drawing the block's
-    uniforms for the slice alone; the main thread then takes each step's
-    median over the whole ensemble.  Every step is elementwise per
+    (rng.BLOCK_STEPS steps) at a time, one step after another, drawing the
+    block's uniforms for the slice alone, and skips the draw when every
+    trajectory of the slice is exact or frozen; the main thread then takes
+    each step's median over the whole ensemble.  Every step is elementwise per
     trajectory, so the values do not depend on the slice or worker count.
     """
     if not (math.isfinite(s) and s >= 1.0):
@@ -124,19 +134,27 @@ def mc_convergence(
     x = np.zeros(n_traj)
     diverged = np.zeros(n_traj, dtype=bool)
     frozen = np.zeros(n_traj, dtype=bool)
-    log_error = np.empty((4, n_traj))  # ln|b/a - x| after each step of a block
+    log_error = np.empty((rng.BLOCK_STEPS, n_traj))  # ln|b/a - x| after each step of a block
     median_log = np.empty(n_iter + 1)
     median_log[0] = _median_log_abs(ba - x)
 
     def advance_slice(i: int, n0: int) -> None:
-        """Steps n0 to n0 + 3 (one Philox block) of the trajectories in slice i."""
+        """One Philox block of steps, from step n0, for the trajectories in slice i."""
         t = slice(edges[i], edges[i + 1])
-        steps = range(n0, min(n0 + 4, n_iter))
-        u_block = rng.uniform_matrix(seed, range(t.start, t.stop), steps)
+        steps = range(n0, min(n0 + rng.BLOCK_STEPS, n_iter))
         xs = x[t]
+        active = ~frozen[t] & (inst.b - inst.a * xs != 0.0)
+        if not active.any():
+            # exact and frozen trajectories stay so: the slice skips its draw,
+            # but the medians permute the error rows, so each is written again
+            with np.errstate(divide="ignore"):
+                log_error[:len(steps), t] = np.log(np.abs(ba - xs))
+            return
+        u_block = rng.uniform_matrix(seed, range(t.start, t.stop), steps)
         for k, n in enumerate(steps):
             u, first = u_block[k], l0_zero and n == 0
-            active = ~frozen[t] & (inst.b - inst.a * xs != 0.0)
+            if k:
+                active = ~frozen[t] & (inst.b - inst.a * xs != 0.0)
             # the zero-exponent first step's c = 1/|res| overflows to inf for a
             # residual below 2^-1024, which the quantile takes (q = 1/(a c) + ...),
             # and an iterate that overflows is frozen below, so the warning is
@@ -153,9 +171,9 @@ def mc_convergence(
                 np.log(np.abs(ba - xs), out=log_error[k, t])
 
     def run(map_slices) -> None:
-        for n0 in range(0, n_iter, 4):
+        for n0 in range(0, n_iter, rng.BLOCK_STEPS):
             list(map_slices(lambda i: advance_slice(i, n0), range(n_slices)))
-            for k in range(min(4, n_iter - n0)):
+            for k in range(min(rng.BLOCK_STEPS, n_iter - n0)):
                 median_log[n0 + k + 1] = np.median(log_error[k], overwrite_input=True)
 
     workers = min(rate._usable_cpus(), n_slices)

@@ -7,14 +7,18 @@ parallel trajectories are reproducible independent of scheduling.
 Every stream is Philox4x64-10 (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC'11) with key (seed, stream) and a counter whose word 0
 is the block index + 1 (words 1-3 zero).  Each block yields four 64-bit
-words, used in order, and a word maps to the uniform (raw >> 11) * 2**-53.
-This is numpy's ``Philox(key=[seed, stream])`` layout: ``generator``,
-``uniforms`` and ``normals`` use numpy's generator directly, and
-``uniform_matrix`` evaluates the same rounds with numpy array arithmetic
-for a range of streams over a range of steps, returned step-major (one
-contiguous row per step), so a caller can draw a block of steps for a slice
-of streams without holding the whole streams x steps matrix.  numpy's
-generator is the reference the vectorised kernel must match bit for bit.
+words, the variates of BLOCK_STEPS consecutive steps, used in order, and a
+word maps to the uniform (raw >> 11) * 2**-53.  This is numpy's
+``Philox(key=[seed, stream])`` layout: ``generator``, ``uniforms`` and
+``normals`` use numpy's generator directly, and ``uniform_matrix``
+evaluates the same rounds with numpy array arithmetic for a range of
+streams over a range of steps, returned step-major (one contiguous row per
+step).  It does not tile: one call evaluates every requested stream and
+block in one broadcast, making about 16 temporaries the size of its
+output per round, of which about three are live at once, so callers cut
+their requests into tiles (``mc_convergence`` asks for one block of one
+slice at a time).  numpy's generator is the reference the vectorised
+kernel must match bit for bit.
 """
 
 from __future__ import annotations
@@ -32,17 +36,8 @@ _W1 = 0xBB67AE8584CAA73B  # key schedule: sqrt(3) - 1
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
-# Tile of streams x blocks the kernel evaluates at once, so temporaries stay
-# small next to the output.  Whole matrices at 50 000 x 40 and 5000 x 400
-# ran within 10% of each other on tiles of 2**14 to 2**16 stream-blocks
-# (2-core Xeon).  mc_convergence asks for one block of up to 2**15 streams
-# per slice, from two threads at once.  Two threads drawing 25 000-stream
-# blocks (50 000 x 40 in all, best of 6, two runs) took 420-476 ms on
-# 2048-stream tiles, 225-291 on 4096, 149-191 on 8192, 110-113 on 16384
-# and 85 on 32768, against 86-209 ms serially: the threads queue for the
-# GIL between the many short numpy calls of narrow tiles.
-_CHUNK_STREAMS = 1 << 15
-_CHUNK_BLOCKS = 1
+# the four words of one counter block are the variates of four consecutive steps
+BLOCK_STEPS = 4
 
 
 def check_key(seed: int, stream: int) -> None:
@@ -105,7 +100,7 @@ def _philox4x64(ctr0: np.ndarray, seed: int, streams: np.ndarray) -> np.ndarray:
         lo1, hi1 = _mulhilo(_M1, x2)
         x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
     words = np.stack(np.broadcast_arrays(x0, x1, x2, x3), axis=1)
-    return words.reshape(-1, streams.shape[1])
+    return words.reshape(BLOCK_STEPS * ctr0.shape[0], streams.shape[1])
 
 
 def uniform_matrix(seed: int, streams: range, steps: range) -> np.ndarray:
@@ -123,20 +118,12 @@ def uniform_matrix(seed: int, streams: range, steps: range) -> np.ndarray:
     check_key(seed, max(streams.stop - 1, streams.start))  # the last stream id
     if steps.start < 0:
         raise ValueError(f"steps must start at 0 or later, got {steps.start}")
-    n_streams, n0, n1 = len(streams), steps.start, steps.start + len(steps)
-    out = np.empty((n1 - n0, n_streams))
-    blocks = range(n0 // 4, -(-n1 // 4))
-    for t0 in range(0, n_streams, _CHUNK_STREAMS):
-        t1 = min(t0 + _CHUNK_STREAMS, n_streams)
-        ids = np.uint64(streams.start) + np.arange(t0, t1, dtype=np.uint64)[None, :]
-        for b0 in blocks[::_CHUNK_BLOCKS]:
-            b1 = min(b0 + _CHUNK_BLOCKS, blocks.stop)
-            ctr0 = np.arange(b0 + 1, b1 + 1, dtype=np.uint64)[:, None]
-            words = _philox4x64(ctr0, seed, ids)
-            lo, hi = max(n0, 4 * b0), min(n1, 4 * b1)
-            np.multiply(words[lo - 4 * b0:hi - 4 * b0] >> np.uint64(11), 2.0**-53,
-                        out=out[lo - n0:hi - n0, t0:t1])
-    return out
+    n0, n1 = steps.start, steps.start + len(steps)
+    b0, b1 = n0 // BLOCK_STEPS, -(-n1 // BLOCK_STEPS)
+    ctr0 = np.arange(b0 + 1, b1 + 1, dtype=np.uint64)[:, None]
+    ids = np.uint64(streams.start) + np.arange(len(streams), dtype=np.uint64)[None, :]
+    words = _philox4x64(ctr0, seed, ids)[n0 - BLOCK_STEPS * b0:n1 - BLOCK_STEPS * b0]
+    return (words >> np.uint64(11)) * 2.0**-53
 
 
 def normals(seed: int, n: int, stream: int = 0) -> np.ndarray:

@@ -279,6 +279,20 @@ def test_mc_warns_when_the_slope_is_fitted_across_the_float_floor(capsys, beta, 
             assert f" floor_step={floor} " in captured.out
 
 
+def test_mc_exact_start_is_not_called_the_float_floor(capsys):
+    # with b = 0 the start x = 0 is exact: there is no step before step 0 to fit
+    code = main(["mc", "--model", "normal", "--beta", "2", "--b", "0",
+                 "--n-traj", "50", "--n-iter", "6"])
+    captured = capsys.readouterr()
+    assert code == 0
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("annealsolve: warning: ")
+    assert "x = 0 already solves" in lines[0] and "float floor" not in lines[0]
+    doc = json.loads(captured.out)
+    assert doc["floor_step"] == 0 and doc["slope"] is None
+    assert doc["median_log_error"] == [None] * 7
+
+
 def test_mc_above_the_float_floor_gives_no_warning(capsys):
     # at beta 2 the median error first hits 0 at step 28, after these 24 steps
     code = main(["mc", "--model", "normal", "--beta", "2", "--n-iter", "24", "--format", "csv"])
@@ -459,14 +473,6 @@ def test_limit_check_inputs_outside_contract_exit_1(capsys, flags, message):
     assert captured.out == ""
     assert captured.err.count("error:") == 1 and message in captured.err
     assert "Traceback" not in captured.err
-
-
-def test_outdir_env_var(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("ANNEALSOLVE_OUTDIR", str(tmp_path))
-    code, _ = run_cli(capsys, "solve", "--a", "0.5", "--b", "0.7", "--beta", "2",
-                      "--model", "a2", "--max-iter", "3", "--out", "trace.csv")
-    assert code == 0
-    assert (tmp_path / "trace.csv").exists()
 
 
 def test_paper_l0_flag(capsys):

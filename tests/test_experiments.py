@@ -90,14 +90,37 @@ def test_mc_validation():
     (BoltzmannModel(SupportKind.SIGNED_SYMMETRIC, BitRange(-2, 1)), 0.5, 0.75, 4.0),
 ])
 def test_mc_convergence_matches_whole_array_oracle(monkeypatch, model, a, b, beta):
-    # slices of about 1334 trajectories span a tile edge of the Philox kernel
-    monkeypatch.setattr(rng, "_CHUNK_STREAMS", 1000)
+    # three slices of about 1334 trajectories, run on one to three workers
     monkeypatch.setattr(experiments, "_SLICE", 1500)
     kwargs = dict(s=1.3, n_traj=4001, n_iter=40, seed=7)
     ref = summary_bits(mc_convergence_oracle(model, a, b, beta, **kwargs))
     for cpus in (1, 2, 3):
         monkeypatch.setattr(rate, "_usable_cpus", lambda: cpus)
         assert summary_bits(mc_convergence(model, a, b, beta, **kwargs)) == ref
+
+
+@pytest.mark.parametrize("model,a,b,beta", [
+    (NormalModel(), 0.5, 0.7, 1e3),
+    (BoltzmannModel(SupportKind.SIGNED_SYMMETRIC, BitRange(-2, 1)), 0.5, 0.75, 4.0),
+])
+def test_mc_convergence_skips_the_draw_of_a_slice_at_rest(monkeypatch, model, a, b, beta):
+    # exact and frozen trajectories never move again, so a slice made only of
+    # them draws no block, and the summary is the oracle's all the same; the
+    # slices of 3 come to rest at different steps while the median still moves,
+    # so they also need the error rows the median permuted written again
+    draws = []
+    draw = rng.uniform_matrix
+    monkeypatch.setattr(rng, "uniform_matrix", lambda *args: draws.append(args) or draw(*args))
+    for size, n_traj in ((1500, 4001), (3, 41)):
+        monkeypatch.setattr(experiments, "_SLICE", size)
+        kwargs = dict(s=1.3, n_traj=n_traj, n_iter=40, seed=7)
+        ref = summary_bits(mc_convergence_oracle(model, a, b, beta, **kwargs))
+        for cpus in (1, 2):
+            monkeypatch.setattr(rate, "_usable_cpus", lambda: cpus)
+            draws.clear()
+            assert summary_bits(mc_convergence(model, a, b, beta, **kwargs)) == ref
+            n_slices = -(-n_traj // size)
+            assert 0 < len(draws) < n_slices * 40 // rng.BLOCK_STEPS
 
 
 def test_mc_convergence_slices_survive_thread_switches(monkeypatch):

@@ -6,8 +6,6 @@ from helpers import uniform_matrix_oracle
 
 from annealsolve import rng
 
-CHUNK = rng._CHUNK_STREAMS
-
 
 def numpy_row(seed, stream, n):
     key = np.array([seed, stream], dtype=np.uint64)
@@ -17,30 +15,32 @@ def numpy_row(seed, stream, n):
 @pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**64 - 1])
 @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 41])
 def test_kernel_matches_numpy_philox(seed, n):
-    m = rng.uniform_matrix(seed, range(CHUNK + 1), range(n))
-    assert m.shape == (n, CHUNK + 1)
-    for t in (0, 1, CHUNK - 1, CHUNK):  # both sides of the chunk boundary
+    # more streams than one mc_convergence slice draws at once
+    n_streams = 2**15 + 1
+    m = rng.uniform_matrix(seed, range(n_streams), range(n))
+    assert m.shape == (n, n_streams)
+    for t in (0, 1, 2**15 - 1, 2**15):
         np.testing.assert_array_equal(m[:, t], numpy_row(seed, t, n))
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 @pytest.mark.parametrize("n_streams", [0, 1, 3])
-def test_kernel_small_and_block_tiled_shapes(seed, n_streams):
-    # long enough for several block tiles and a partial last block
-    n = 4 * rng._CHUNK_BLOCKS + 5
-    m = rng.uniform_matrix(seed, range(n_streams), range(n))
-    np.testing.assert_array_equal(m, uniform_matrix_oracle(seed, n_streams, n).T)
+def test_kernel_small_shapes(seed, n_streams):
+    # several blocks and a partial last block
+    m = rng.uniform_matrix(seed, range(n_streams), range(9))
+    np.testing.assert_array_equal(m, uniform_matrix_oracle(seed, n_streams, 9).T)
 
 
 @pytest.mark.parametrize("seed", [3, 2**64 - 1])
 @pytest.mark.parametrize("steps", [range(0, 4), range(1, 3), range(3, 10), range(6, 7), range(5, 41)])
 def test_kernel_block_form_matches_numpy_philox(seed, steps):
-    # streams start off a tile edge and run across the next one
-    streams = range(CHUNK - 5, 2 * CHUNK + 2)
+    # step ranges with a partial first and a partial last block, on streams
+    # that do not start at 0
+    streams = range(1000, 1037)
     m = rng.uniform_matrix(seed, streams, steps)
     assert m.shape == (len(steps), len(streams))
     assert m.flags.c_contiguous
-    for j in (0, 4, 5, CHUNK - 1, CHUNK, len(streams) - 1):
+    for j in (0, 4, 5, len(streams) - 1):
         np.testing.assert_array_equal(m[:, j], numpy_row(seed, streams[j], steps.stop)[steps.start:])
 
 
@@ -53,7 +53,7 @@ def test_kernel_block_form_at_the_top_stream_id():
 
 @pytest.mark.parametrize("streams,steps", [
     (range(0), range(5)), (range(7, 7), range(3, 9)), (range(4), range(0)),
-    (range(CHUNK + 3), range(6, 6)), (range(5, 2), range(2, 1)),
+    (range(9), range(6, 6)), (range(5, 2), range(2, 1)),
 ])
 def test_kernel_empty_ranges(streams, steps):
     m = rng.uniform_matrix(0, streams, steps)
