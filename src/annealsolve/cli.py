@@ -98,6 +98,12 @@ def cmd_rate_curve(args) -> int:
         raise ValueError(f"beta range must be finite, got [{args.beta_min}, {args.beta_max}]")
     if args.beta_steps < 1:
         raise ValueError(f"--beta-steps must be at least 1, got {args.beta_steps}")
+    if args.beta_steps == 1 and args.beta_min != args.beta_max:
+        # the linspace would keep beta_min alone while the header records both
+        raise ValueError(
+            f"--beta-steps 1 needs --beta-min == --beta-max, got "
+            f"[{args.beta_min}, {args.beta_max}]"
+        )
     betas = np.linspace(args.beta_min, args.beta_max, args.beta_steps)
     points = rate_curve(models, betas, a_steps=args.a_steps, c_steps=args.c_steps,
                         gl_nodes=args.gl_nodes)

@@ -17,7 +17,9 @@ E = -ln(beta) - gamma/2 for every a, because r(u) = sqrt(2) |Phi^-1(u)| / beta;
 Boltzmann models are integrated exactly in u, piece by piece; other models
 take the batched quadrature.  _r_profile_continuous decides whether the best
 grid c is refined: not for the normal model, whose maximand is linear in c,
-nor for Boltzmann models, whose quantiles are piecewise constant in c.
+nor for Boltzmann models, whose quantiles are piecewise constant in c.  It
+also decides whether grid cells can be skipped: only for the normal and
+truncated-normal laws.
 
 Continuous models take the max over c on a dense c-grid, refined inside
 the grid cells next to the best grid point, and use Gauss-Legendre
@@ -26,12 +28,20 @@ kernel, ``model.quantile``, the one the sampler uses; any callable
 ``q(u, c, a, beta)`` can stand in for a model, and it must broadcast in a
 as it does in u and c.
 
+For the normal and truncated-normal laws the grid pass skips most of the
+grid: 1 - c a q = -(c / beta) y(c) with y nondecreasing in c, so the two
+end values of a grid cell bound every value inside it, and only the cells
+whose bound can reach the best end value are evaluated (interval
+elimination, as in Shubert 1972).  The grid maximum, its first argmax and
+its neighbours' values are the full grid's, bit for bit.  Other models and
+plain callables have no such bound and evaluate every grid point.
+
 One bracketed maximiser, _bracket_max, refines both maxima: over c at
 every quadrature node, and over a around the best cell of E_max's a-grid.
 It starts from the three grid values around the best grid point, which
-the grid pass has already computed, takes a few safeguarded parabolic
-steps (Brent 1973), and checks the result with two probes a hundred-
-thousandth of a grid step to either side.  Only where a probe beats it
+the grid pass has computed where it did not skip them, takes a few
+safeguarded parabolic steps (Brent 1973), and checks the result with two
+probes a hundred-thousandth of a grid step to either side.  Only where a probe beats it
 does the two-probe golden section (_golden_bracket) search the bracket;
 the same golden section places the split point at a quadrature dip.
 
@@ -58,7 +68,8 @@ import numpy as np
 
 from .dist import boltzmann_cdf_rows
 from .sampler import (
-    _MAX_CELLS, BoltzmannModel, CorrectionModel, NormalModel, check_finite_positive, model_id,
+    _MAX_CELLS, BoltzmannModel, CorrectionModel, NormalModel, TruncNormalModel,
+    check_finite_positive, model_id,
 )
 
 # imported only so the benchmark's trace hooks can rebind them here
@@ -79,6 +90,26 @@ _GS_ITERS_A = 14
 _PARABOLIC_STEPS = 6
 _PROBE_FRACTION = 1e-5
 _REFINE_CHUNK = 1 << 12
+# the pruned c-grid pass (_r_profile_continuous).  _C_STRIDE is the grid
+# step between the cell ends evaluated first: 17 of the default 257 points.
+# At strides 8, 16 and 32 the a1-a4 benchmark cells evaluated 1.28M, 1.05M
+# and 1.14M kernel elements per cell (6.76M unpruned), and the 24 cells took
+# 4.2-4.3, 3.7-3.8 and 4.0-4.1 s (serial, 2-core Xeon).  A cell's interior
+# is skipped when its bound lies below the best end value by both margins:
+# _PRUNE_REL is about 100x the truncated-normal kernel's tail noise (about
+# 1e-8 relative; no test fails without it), and _PRUNE_ABS covers the
+# rounding of 1 - c a q where it is near 0: without it the pruned and the
+# full-grid profiles of a1 at beta=10 differ.
+# _FLAT_CHUNK caps the elements per kernel call on the points the pass
+# evaluates one by one (kept cells and neighbours), which share no (c, a)
+# work and so make several temporaries per element: the 24 a1-a4 cells
+# (serial, 2-core Xeon) took 3.3-4.3, 2.7-3.7, 3.3-4.6 and 3.8-4.3 s and
+# peaked at 59.4, 59.5, 62.3 and 68.0-68.4 MB RSS at 2^11, 2^13, 2^15 and
+# 2^17 (5.1-6.3 s and 60.0 MB unpruned)
+_C_STRIDE = 16
+_PRUNE_REL = 2.0**-20
+_PRUNE_ABS = 2.0**-40
+_FLAT_CHUNK = 1 << 13
 
 RATE_CSV_COLUMNS = ("model_id", "beta", "a", "kind", "value", "clamped")
 
@@ -120,10 +151,15 @@ def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+def _residual(q, u, c, a, beta) -> np.ndarray:
+    """1 - c a q(u, c, a, beta), formed in place over the product array."""
+    f = (c * a) * q(u, c, a, beta)
+    return np.subtract(1.0, f, out=f)
+
+
 def _maximand(q, u, c, a, beta) -> np.ndarray:
     """|1 - c a q(u, c, a, beta)|, formed in place over the product array."""
-    f = (c * a) * q(u, c, a, beta)
-    np.subtract(1.0, f, out=f)
+    f = _residual(q, u, c, a, beta)
     return np.abs(f, out=f)
 
 
@@ -244,17 +280,34 @@ def _around(k, steps: int, axis: int = 0):
 def _r_profile_continuous(
     model, u: np.ndarray, a, beta: float, c_steps: int, refine: bool = True
 ) -> np.ndarray:
-    """r(u) at every node: dense c-grid pass, then a bracketed maximiser per node.
+    """r(u) at every node: pruned c-grid pass, then a bracketed maximiser per node.
 
     a is a scalar or has shape (m, 1) and u has shape (n,) or (m, n); r has
-    their broadcast shape, row i using coefficient a[i].  The grid pass
-    runs in (rows, c, nodes) tiles of about _MAX_CELLS cells that span the
-    whole c axis, so argmax still picks each node's first maximum, and the
-    kernel sees one coefficient per row, so work that depends on (c, a)
-    alone runs once per grid point.  It keeps the grid values at the best
-    grid point and its two neighbours, from which _bracket_max refines the
-    maximum over c inside the neighbouring grid cells, in chunks of nodes;
-    refine=False keeps the grid pass alone.
+    their broadcast shape, row i using coefficient a[i].
+
+    The grid pass first evaluates every _C_STRIDE-th grid point and the
+    last one, the ends of the pass's cells, and then the interior of only
+    those cells that can hold a value near the best end value M.  For the
+    normal and truncated-normal laws, 1 - c a q = -(c / beta) y(c), where
+    y(c) = clip(erfinv((1-u) erf(z1) + u erf(z2)), z1, z2) with
+    z_k = a beta d_k - beta / c is nondecreasing in c (the normal model's
+    y is constant).  So on a cell with ends c_L < c_R whose interior points
+    lie at or below c_in, every interior |1 - c a q| is at most
+    B = max([F_R <= 0] (c_in/c_R) |F_R|, [F_L > 0] (c_in/c_L) |F_L|) for
+    the signed end values F_L, F_R, and a cell is evaluated only where
+    B >= M (1 - _PRUNE_REL) - _PRUNE_ABS.  The first argmax over the
+    evaluated points is then the whole grid's first argmax, with the same
+    value bit for bit.  Other laws and plain callables have no such bound:
+    they take the same pass at stride 1, where every grid point is an end.
+
+    The pass runs in (rows, ends and cells, nodes) tiles of about _MAX_CELLS
+    values, and the kernel sees one coefficient per row at the ends, so work
+    that depends on (c, a) alone runs once per grid point there; the kept
+    cells' interiors are evaluated in chunks of _FLAT_CHUNK values.  The
+    pass keeps the grid values at the best grid point and its two
+    neighbours, evaluating a neighbour that is not an end, from which
+    _bracket_max refines the maximum over c inside the neighbouring grid
+    cells, in chunks of nodes; refine=False keeps the grid pass alone.
     """
     q = getattr(model, "quantile", model)
     c = np.linspace(1.0, 2.0, c_steps)
@@ -266,33 +319,93 @@ def _r_profile_continuous(
     # so the grid endpoint c = 2 is already the maximum; Boltzmann quantiles
     # are piecewise constant in c, so the dense grid alone is used for them
     refine = refine and c_steps > 2 and not isinstance(model, (NormalModel, BoltzmannModel))
+    stride = _C_STRIDE if isinstance(model, (NormalModel, TruncNormalModel)) else 1
+    ends = np.append(np.arange(0, c_steps - 1, stride), c_steps - 1)
+    lo, hi = ends[:-1], ends[1:]
+    # the bound's factors per cell, the offsets of a cell's interior points
+    # (clipped into a short last cell), and each end's place among the ends
+    right, left = (c[hi - 1] / c[hi])[:, None], (c[hi - 1] / c[lo])[:, None]
+    wide = (hi - lo > 1)[:, None]
+    # ends alternate with the cells between them in a tile
+    width = 2 * ends.size - 1
+    inner = np.arange(1, min(stride, c_steps - 1))
+    place = np.full(c_steps, -1)
+    place[ends] = np.arange(ends.size)
+
+    def tile(u_t, a_t):
+        """(best grid index, its value and its neighbours' values) per node."""
+        at_ends = _residual(q, u_t[:, None, :], c[ends][:, None], a_t, beta)
+        # ends and cell interiors interleave in grid order, so argmax over
+        # the sequence still finds the first maximum; a skipped cell stays
+        # at -inf
+        seq = np.full((u_t.shape[0], width, u_t.shape[1]), -np.inf)
+        f = np.abs(at_ends, out=seq[:, 0::2])
+        bound = np.minimum(at_ends[:, 1:], 0.0)
+        bound *= -right
+        np.maximum(bound, left * np.maximum(at_ends[:, :-1], 0.0), out=bound)
+        del at_ends
+        end_max = f.max(axis=1, keepdims=True)
+        r_i, cell, n_i = np.nonzero(wide & (bound >= end_max * (1.0 - _PRUNE_REL) - _PRUNE_ABS))
+        del bound
+        # the offset of each kept cell's best interior point, at its left end
+        offset = np.zeros(f.shape, dtype=np.intp)
+        step = _FLAT_CHUNK // max(1, inner.size)
+        for t in range(0, r_i.size, step):
+            r_t, cell_t, n_t = r_i[t:t + step], cell[t:t + step], n_i[t:t + step]
+            at = np.minimum(lo[cell_t, None] + inner, hi[cell_t, None] - 1)
+            a_k = a_t if a_rows is None else a_t[r_t, 0]
+            values = _maximand(q, u_t[r_t, n_t][:, None], c[at], a_k, beta)
+            offset[r_t, cell_t, n_t] = np.argmax(values, axis=1)
+            seq[r_t, 2 * cell_t + 1, n_t] = values.max(axis=1)
+        p = np.argmax(seq, axis=1)[:, None]
+        top = np.take_along_axis(seq, p, axis=1)
+        k = ends[p // 2] + np.where(p % 2, 1 + np.take_along_axis(offset, p // 2, axis=1), 0)
+        if not refine:
+            return k[:, 0], np.moveaxis(top, 1, 0)
+        # neighbours among the ends come from them; the others are -inf
+        # until they are evaluated after the pass
+        at = _around(k[:, 0], c_steps, axis=1)
+        e = place[at]
+        values = np.where(e < 0, -np.inf, np.take_along_axis(f, np.maximum(e, 0), axis=1))
+        return k[:, 0], np.moveaxis(np.where(at == k, top, values), 1, 0)
+
     # the best grid value, and its two neighbours where the maximiser reads them
     near = np.empty((3 if refine else 1, m, n))
     best = np.empty((m, n), dtype=np.intp)
     # whole rows per tile while a row fits, else equal column tiles per row.
-    # The sampler's tile size serves here too: the grid pass of one a1 or a4
-    # cell (65 a x 256 u x 257 c, beta=2, 2-core Xeon) took at best 115, 91,
-    # 81, 77, 80, 81 and 104 ms at 2^12, 2^13, ..., 2^18 cells per tile
-    per_row = -(-(c_steps * n) // _MAX_CELLS)
+    # The sampler's tile size serves here too: the unpruned grid pass of one
+    # a1 or a4 cell (65 a x 256 u x 257 c, beta=2, 2-core Xeon) took at best
+    # 115, 91, 81, 77, 80, 81 and 104 ms at 2^12, 2^13, ..., 2^18 cells per
+    # tile.  Pruned, the 24 a1-a4 benchmark cells took 3.1-3.8, 3.5-4.1 and
+    # 3.8-4.7 s serially at 2^14, 2^15 and 2^16 ends per tile, and peaked at
+    # 59.5, 59.4 and 61.4-62.1 MB RSS (60.0 MB unpruned): a tile of 2^16
+    # sequence values holds about 2^15 ends
+    per_row = -(-(width * n) // _MAX_CELLS)
     cols = -(-n // per_row)
-    rows = max(1, _MAX_CELLS // (c_steps * n))
+    rows = max(1, _MAX_CELLS // (width * n))
     for i in range(0, m, rows):
         a_tile = a if a_rows is None else a_rows[i:i + rows]
         for j in range(0, n, cols):
-            f = _maximand(q, u_rows[i:i + rows, None, j:j + cols], c[:, None], a_tile, beta)
-            k = np.argmax(f, axis=1)
-            best[i:i + rows, j:j + cols] = k
-            at = _around(k, c_steps, axis=1) if refine else k[:, None]
-            near[:, i:i + rows, j:j + cols] = np.moveaxis(np.take_along_axis(f, at, axis=1), 1, 0)
+            best[i:i + rows, j:j + cols], near[:, i:i + rows, j:j + cols] = tile(
+                u_rows[i:i + rows, j:j + cols], a_tile
+            )
     if not refine:
         return near[0].reshape(shape)
     h = 1.0 / (c_steps - 1)
     c_best = c[best.ravel()]
     u_nodes = u_rows.ravel()
     a_nodes = np.broadcast_to(np.reshape(a, (-1, 1)), (m, n)).ravel()
+    c_near = c[_around(best.ravel(), c_steps)]
+    near = near.reshape(3, -1)
+    # the neighbours that are not ends, at most two per node
+    for s in range(0, m * n, _FLAT_CHUNK // 2):
+        k, e = np.nonzero(np.isneginf(near[:, s:s + _FLAT_CHUNK // 2]))
+        if k.size:
+            e += s
+            near[k, e] = _maximand(q, u_nodes[e], c_near[k, e], a_nodes[e], beta)
     r = _bracket_max(
         lambda x, sel: _maximand(q, u_nodes[sel], x, a_nodes[sel], beta),
-        c[_around(best.ravel(), c_steps)], near.reshape(3, -1),
+        c_near, near,
         np.maximum(1.0, c_best - h), np.minimum(2.0, c_best + h),
         _PROBE_FRACTION * h, _GS_ITERS_C,
     )
@@ -307,7 +420,9 @@ def r_func(
     The max over the dense c-grid, refined by the bracketed maximiser inside
     the grid cells next to the best grid point where the model needs it
     (_r_profile_continuous decides); the maximand need not be concave,
-    which is why the grid stays dense.
+    which is why the grid stays dense.  For the normal and truncated-normal
+    laws, grid cells whose end values bound them below the best end value
+    are skipped, which leaves the grid maximum unchanged bit for bit.
     """
     if not 0.0 <= u <= 1.0:
         raise ValueError("u must lie in [0, 1]")

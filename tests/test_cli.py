@@ -184,6 +184,17 @@ def test_rate_curve_beta_steps_below_1_exit_1(capsys, steps):
     assert "Traceback" not in captured.err
 
 
+def test_rate_curve_one_beta_step_needs_one_beta(capsys):
+    # one step over [2, 3] would print a beta = 2 row under a header naming beta_max 3
+    code = main(["rate-curve", "--models", "a4", "--beta-min", "2", "--beta-max", "3",
+                 "--beta-steps", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "--beta-steps 1 needs --beta-min == --beta-max, got [2.0, 3.0]" in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["mc", "--model", "boltzmann:positive:r=-1:p=1", "--n-traj", "10"],
     ["mc", "--model", "normal", "--n-traj", "10"],

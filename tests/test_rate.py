@@ -1,9 +1,12 @@
 import math
 import os
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annealsolve import (
     BitRange,
@@ -33,14 +36,18 @@ from annealsolve.rate import (
     LOG_FLOOR,
     RATE_CSV_COLUMNS,
     QuadratureDisagreement,
+    _C_STRIDE,
+    _PRUNE_ABS,
+    _PRUNE_REL,
     _boltzmann_pieces,
     _E_boltzmann,
     _E_grid,
     _E_max_flag,
     _gl_rule,
     _r_profile_continuous,
+    _residual,
 )
-from annealsolve.sampler import _MAX_CELLS
+from annealsolve.sampler import _MAX_CELLS, TruncNormalModel
 
 POS01 = BoltzmannModel(SupportKind.POSITIVE, BitRange(0, 1))
 POS21 = BoltzmannModel(SupportKind.POSITIVE, BitRange(-2, 1))
@@ -659,3 +666,118 @@ def test_rate_curve_rejects_different_models_sharing_an_id():
     second.__name__ = "first"
     with pytest.raises(ValueError, match="two different models share the id 'first'"):
         rate_curve([first, second], [1.0], a_steps=3, c_steps=5, gl_nodes=8)
+
+
+# the laws whose c-grid pass skips cells: an interval in [-30, 30] of width
+# 1e-6 to 30, a named preset, or the whole line
+_intervals = st.builds(
+    lambda d1, width: TruncNormalModel(d1, d1 + width),
+    st.floats(-30.0, 29.0), st.floats(-6.0, math.log10(30.0)).map(lambda x: 10.0**x),
+).filter(lambda model: model.d2 <= 30.0)
+_pruned_models = st.one_of(
+    _intervals,
+    st.sampled_from([preset(name) for name in ("a1", "a2", "a3", "a4")] + [NormalModel()]),
+)
+_betas = st.floats(-3.0, 12.0).map(lambda x: 10.0**x)
+_edge_u = np.array([0.0, 1.0, 1e-12, 1.0 - 1e-12, 0.5])
+
+
+def _profile_and_brackets(model, u, a, beta, c_steps, refine):
+    """The profile, and the grid values and brackets handed to the maximiser."""
+    brackets = []
+    maximiser = rate._bracket_max
+
+    def spy(f, x, fx, lo, hi, delta, iters):
+        brackets.append((x, fx, lo, hi))
+        return maximiser(f, x, fx, lo, hi, delta, iters)
+
+    with mock.patch.object(rate, "_bracket_max", spy):
+        return _r_profile_continuous(model, u, a, beta, c_steps, refine), brackets
+
+
+def _profiles_equal(model, u, a, beta, c_steps):
+    # the model's own quantile as a plain callable keeps every grid cell;
+    # the normal model is never refined, so its oracle is the grid pass
+    oracle_refine = not isinstance(model, NormalModel)
+    for refine in (True, False):
+        got = _profile_and_brackets(model, u, a, beta, c_steps, refine)
+        want = _profile_and_brackets(
+            model.quantile, u, a, beta, c_steps, refine and oracle_refine
+        )
+        np.testing.assert_array_equal(got[0], want[0])
+        assert len(got[1]) == len(want[1])
+        for got_arrays, want_arrays in zip(got[1], want[1]):
+            for x, y in zip(got_arrays, want_arrays):
+                np.testing.assert_array_equal(x, y)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    model=_pruned_models, beta=_betas,
+    a=st.floats(0.5, 1.0), rows=st.booleans(),
+    c_steps=st.sampled_from([3, 4, 5, 17, 18, 100, 257, 258, 1025]),
+    u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+)
+def test_pruned_grid_pass_equals_the_full_grid(model, beta, a, rows, c_steps, u):
+    u = np.concatenate([_edge_u, u])
+    # a scalar coefficient, or one per row on the same nodes
+    a = np.array([[0.5], [a], [1.0]]) if rows else a
+    _profiles_equal(model, u, a, beta, c_steps)
+
+
+@pytest.mark.parametrize("model", [preset("a1"), preset("a4"), NormalModel()],
+                         ids=["a1", "a4", "normal"])
+def test_pruned_grid_pass_equals_the_full_grid_across_tiles(model):
+    # node counts just below, on and above the edge where a row of the
+    # default grid's 17 ends and 16 cells no longer fits one tile, for
+    # shared and per-row nodes
+    edge = _MAX_CELLS // (2 * 256 // _C_STRIDE + 1)
+    for n in (edge - 1, edge, edge + 1, 2 * edge + 1):
+        u = np.linspace(0.0, 1.0, n)
+        _profiles_equal(model, u, 0.61, 3.0, 257)
+        _profiles_equal(model, np.stack([u, u[::-1]]), np.array([[0.5], [0.93]]), 3.0, 257)
+
+
+def test_full_grid_pass_matches_scalar_oracle_across_tiles():
+    # a plain callable keeps every grid point as an end: node counts around
+    # the edge where a row of 257 ends and 256 cells no longer fits one tile
+    edge = _MAX_CELLS // (2 * 257 - 1)
+    q = preset("a2").quantile
+    for n in (edge - 1, edge, edge + 1, 2 * edge + 1):
+        u = np.linspace(0.0, 1.0, n)
+        np.testing.assert_array_equal(
+            _r_profile_continuous(q, u, 0.71, 2.0, 257), oracle_profile(q, u, 0.71, 2.0, 257, True)
+        )
+
+
+def test_pruned_grid_pass_equals_the_full_grid_at_the_deep_tail_point():
+    # the point where the a4 kernel loses digits in the tail (see the xfail
+    # test_a4_deep_tail_monotone_in_u), on the benchmark grid and denser
+    u = np.concatenate([_edge_u, _gl_rule(256)[0], np.linspace(0.0, 1e-6, 64)])
+    for c_steps in (257, 1025):
+        _profiles_equal(preset("a4"), u, 0.5668134028632025, 10.936072903736195, c_steps)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    model=_pruned_models, beta=_betas, a=st.floats(0.5, 1.0),
+    u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    c_steps=st.sampled_from([1025, 4097]),
+)
+def test_kernel_keeps_the_cell_bound(model, beta, a, u, c_steps):
+    # on every cell of _C_STRIDE grid steps, each interior |1 - c a q| stays
+    # within the pruning margins of the bound from the cell's ends, so a
+    # skipped cell holds no value that reaches the best end value
+    u = np.concatenate([_edge_u, u])
+    c = np.linspace(1.0, 2.0, c_steps)
+    f = _residual(model.quantile, u[None, :], c[:, None], a, beta)
+    ends = np.arange(0, c_steps, _C_STRIDE)
+    f_l, f_r = f[ends[:-1]], f[ends[1:]]
+    c_in = c[ends[1:] - 1][:, None]
+    bound = np.maximum(
+        np.where(f_r <= 0.0, c_in / c[ends[1:], None] * -f_r, 0.0),
+        np.where(f_l > 0.0, c_in / c[ends[:-1], None] * f_l, 0.0),
+    )
+    inner = np.abs(f[: ends[-1]]).reshape(-1, _C_STRIDE, u.size)[:, 1:].max(axis=1)
+    top = np.abs(f[ends]).max(axis=0)
+    assert np.all(inner <= bound + top * _PRUNE_REL + _PRUNE_ABS)
