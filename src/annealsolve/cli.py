@@ -78,7 +78,7 @@ def cmd_qubo(args) -> int:
             raise ModelSpecError("--verify is limited to p - r + 1 <= 12 bits")
         deviation = exhaustive_deviation(problem)
         print(f"max deviation over {2 ** problem.n_bits} assignments: {deviation:.3e}")
-        if deviation > 1e-12:
+        if not deviation <= 1e-12:  # NaN fails too
             print("verification FAILED (deviation > 1e-12)", file=sys.stderr)
             return 1
     if args.format == "coo":

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,18 +169,11 @@ def mc_convergence(
             with np.errstate(divide="ignore"):
                 np.log(np.abs(ba - xs), out=log_error[k, t])
 
-    def run(map_slices) -> None:
+    with rate._pool_map(n_slices) as map_slices:
         for n0 in range(0, n_iter, rng.BLOCK_STEPS):
             list(map_slices(lambda i: advance_slice(i, n0), range(n_slices)))
             for k in range(min(rng.BLOCK_STEPS, n_iter - n0)):
                 median_log[n0 + k + 1] = np.median(log_error[k], overwrite_input=True)
-
-    workers = min(rate._usable_cpus(), n_slices)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            run(pool.map)
-    else:
-        run(map)
 
     # median commutes with log, so this is ln median |s^n error|; with b = 0
     # the start x = 0 is already exact and the error stays 0

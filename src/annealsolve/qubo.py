@@ -73,18 +73,33 @@ class QuboProblem:
 
 
 def build_qubo(a: float, b: float, bit_range: BitRange) -> QuboProblem:
-    """Closed-form QUBO coefficients for (a*x - b)^2 with x two's-complement encoded."""
+    """Closed-form QUBO coefficients for (a*x - b)^2 with x two's-complement encoded.
+
+    Raises ValueError when a or b is not finite, or when a coefficient or the
+    offset overflows a float.
+    """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"a and b must be finite, got a={a}, b={b}")
     if a == 0.0:
         raise DegenerateProblemError("a = 0 leaves no equation to solve")
     r, p = bit_range.r, bit_range.p
     theta = bit_range.theta
     coeff: dict[tuple[int, int], float] = {}
-    coeff[(p, p)] = a * a * theta * theta - 2.0 * a * b * theta
-    for i in range(r, p):
-        coeff[(i, i)] = math.ldexp(a * a, 2 * i) - math.ldexp(a * b, i + 1)
-        coeff[(i, p)] = math.ldexp(a * a * theta, i + 1)
-        for j in range(i + 1, p):
-            coeff[(i, j)] = math.ldexp(a * a, i + j + 1)
+    try:
+        coeff[(p, p)] = a * a * theta * theta - 2.0 * a * b * theta
+        for i in range(r, p):
+            coeff[(i, i)] = math.ldexp(a * a, 2 * i) - math.ldexp(a * b, i + 1)
+            coeff[(i, p)] = math.ldexp(a * a * theta, i + 1)
+            for j in range(i + 1, p):
+                coeff[(i, j)] = math.ldexp(a * a, i + j + 1)
+    except OverflowError:  # ldexp raises where a product overflows to inf
+        finite = False
+    else:
+        finite = all(map(math.isfinite, coeff.values())) and math.isfinite(b * b)
+    if not finite:
+        raise ValueError(
+            f"the QUBO of ({a!r}*x - {b!r})^2 over exponents {r}..{p} overflows a float"
+        )
     return QuboProblem(range=bit_range, coefficients=coeff, offset=b * b, a=a, b=b)
 
 

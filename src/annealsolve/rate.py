@@ -61,6 +61,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -612,6 +613,17 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
+@contextmanager
+def _pool_map(n_units: int):
+    """Yield map, or a thread pool's map with one worker per unit up to the usable CPUs."""
+    workers = min(n_units, _usable_cpus())
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            yield pool.map
+    else:
+        yield map
+
+
 def rate_curve(
     models, betas, a_steps: int = 65, c_steps: int = 257, gl_nodes: int = 256,
 ) -> list[RatePoint]:
@@ -642,11 +654,8 @@ def rate_curve(
         value, clamped = _E_max_flag(model, beta, a_steps, c_steps, gl_nodes)
         return RatePoint(model_id=mid, beta=beta, a=None, kind="Emax", value=value, clamped=clamped)
 
-    workers = min(len(cells), _usable_cpus())
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(work, cells))
-    return [work(cell) for cell in cells]
+    with _pool_map(len(cells)) as map_cells:
+        return list(map_cells(work, cells))
 
 
 def rate_points_to_csv(points) -> str:

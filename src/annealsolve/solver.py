@@ -167,6 +167,8 @@ def solve(
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if not tol >= 0.0:
         raise ValueError(f"tol must be >= 0, got {tol}")
+    if tol == math.inf:
+        raise ValueError(f"tol must be finite, got {tol}")
     check_finite_positive("a", inst.a)
     check_finite_positive("beta", beta)
     etas = rng.uniforms(seed, max_iter, stream)

@@ -124,13 +124,29 @@ def test_qubo_json_round_trip(capsys, tmp_path):
     assert problem.offset == 0.25
 
 
-def test_qubo_verify_failure_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(annealsolve.cli, "exhaustive_deviation", lambda problem: 1e-9)
+@pytest.mark.parametrize("deviation,shown", [(1e-9, "1.000e-09"), (float("nan"), "nan")])
+def test_qubo_verify_failure_exits_1(capsys, monkeypatch, deviation, shown):
+    monkeypatch.setattr(annealsolve.cli, "exhaustive_deviation", lambda problem: deviation)
     code = main(["qubo", "--a", "0.5", "--b", "0.5", "--r", "-1", "--p", "0", "--verify"])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.out == "max deviation over 4 assignments: 1.000e-09\n"
+    assert captured.out == f"max deviation over 4 assignments: {shown}\n"
     assert "verification FAILED (deviation > 1e-12)" in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--a", "1e200", "--b", "1", "--r", "-3", "--p", "1", "--verify"],
+     "the QUBO of (1e+200*x - 1.0)^2 over exponents -3..1 overflows a float"),
+    (["--a", "1e160", "--b", "1", "--r", "500", "--p", "510"],
+     "the QUBO of (1e+160*x - 1.0)^2 over exponents 500..510 overflows a float"),
+], ids=["square-overflows", "ldexp-overflows"])
+def test_qubo_overflow_exits_1(capsys, argv, message):
+    code = main(["qubo", *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("annealsolve: error: ") and captured.err.count("\n") == 1
+    assert message in captured.err and "Traceback" not in captured.err
 
 
 def test_qubo_verify_size_guard():
@@ -214,6 +230,8 @@ def test_beta_outside_contract_exits_1(capsys, argv, beta):
     ["solve", "--a", "0.5", "--b", "nan", "--beta", "2", "--model", "a2"],
     ["solve", "--a", "inf", "--b", "0.7", "--beta", "2", "--model", "a2"],
     ["mc", "--model", "a2", "--b", "inf", "--beta", "2", "--n-traj", "10"],
+    ["qubo", "--a", "inf", "--b", "1", "--r", "-3", "--p", "1"],
+    ["qubo", "--a", "1", "--b", "nan", "--r", "-3", "--p", "1", "--verify"],
 ])
 def test_non_finite_equation_exits_1(capsys, argv):
     code = main(argv)
@@ -330,6 +348,7 @@ def test_mc_bad_sizes_exit_1(capsys, flag, value):
 
 @pytest.mark.parametrize("flag,value,message", [
     ("--tol", "nan", "tol must be >= 0, got nan"),
+    ("--tol", "inf", "tol must be finite, got inf"),
     ("--a", "1e-320", "to normalize a=1e-320 overflows"),
 ])
 def test_solve_bad_inputs_exit_1(capsys, flag, value, message):

@@ -59,6 +59,18 @@ def test_degenerate_a_rejected():
         build_qubo(0.0, 1.0, BitRange(-1, 0))
 
 
+@pytest.mark.parametrize("a,b,bit_range,message", [
+    (float("inf"), 1.0, BitRange(-3, 1), "a and b must be finite"),
+    (1.0, float("nan"), BitRange(-3, 1), "a and b must be finite"),
+    (1e200, 1.0, BitRange(-3, 1), "overflows a float"),  # a * a is inf
+    (1.0, 1e200, BitRange(-3, 1), "overflows a float"),  # so is the offset b * b
+    (1e160, 1.0, BitRange(500, 510), "overflows a float"),  # math.ldexp raises
+])
+def test_non_finite_or_overflowing_qubo_rejected(a, b, bit_range, message):
+    with pytest.raises(ValueError, match=message):
+        build_qubo(a, b, bit_range)
+
+
 @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.75, -1.3), (0.9, 1.7), (0.6, 0.0)])
 @pytest.mark.parametrize("r,p", [(-1, 0), (-3, 1), (-4, 2)])
 def test_energy_identity_against_brute_force(a, b, r, p):
