@@ -152,6 +152,13 @@ def cmd_mc(args) -> int:
             f"step {summary.floor_step} on; the slope is fitted only to the steps before it",
             file=sys.stderr,
         )
+    if summary.ceiling_step is not None:
+        print(
+            "annealsolve: warning: the median error is past the freeze ceiling (where "
+            f"trajectories stop updating) from step {summary.ceiling_step} on; the slope is "
+            "fitted only to the steps before it",
+            file=sys.stderr,
+        )
     if args.format == "json":
         payload = {
             "n_traj": summary.n_traj,
@@ -159,6 +166,7 @@ def cmd_mc(args) -> int:
             "s": summary.s,
             "slope": _jsonable(summary.slope),
             "floor_step": summary.floor_step,
+            "ceiling_step": summary.ceiling_step,
             "diverged_fraction": summary.diverged_fraction,
             "outcome": summary.s_scaled_outcome.value,
             "median_log_error": [_jsonable(float(v)) for v in summary.median_log_error],
@@ -168,6 +176,7 @@ def cmd_mc(args) -> int:
         lines = [
             _csv_header(args),
             f"# slope={summary.slope!r} floor_step={summary.floor_step} "
+            f"ceiling_step={summary.ceiling_step} "
             f"diverged_fraction={summary.diverged_fraction!r} "
             f"outcome={summary.s_scaled_outcome.value}\n",
             "step,median_log_error\n",
@@ -194,14 +203,7 @@ def _parse_ranges(text: str) -> list[BitRange]:
 
 def cmd_limit_check(args) -> int:
     ranges = _parse_ranges(args.ranges)
-    interval = None
-    if args.mode == "interval":
-        if args.d1 is None or args.d2 is None:
-            raise ModelSpecError("--mode interval requires --d1 and --d2")
-        interval = (args.d1, args.d2)
-    elif args.d1 is not None or args.d2 is not None:
-        raise ModelSpecError("--d1 and --d2 apply only to --mode interval")
-    rows = limit_check(args.a, args.b, args.beta, ranges, interval=interval)
+    rows = limit_check(args.a, args.b, args.beta, ranges, limit=parse_model_spec(args.limit))
     if args.format == "json":
         payload = {
             "rows": [
@@ -291,9 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_limit.add_argument("--b", type=float, required=True)
     p_limit.add_argument("--beta", type=float, required=True)
     p_limit.add_argument("--ranges", required=True, help="comma-separated r:p pairs")
-    p_limit.add_argument("--mode", choices=("full-line", "interval"), default="full-line")
-    p_limit.add_argument("--d1", type=float)
-    p_limit.add_argument("--d2", type=float)
+    p_limit.add_argument("--limit", default="normal",
+                         help="limit law: normal (the whole line) or a truncated normal, "
+                         "e.g. a2 or truncnormal:d1=0:d2=1")
     p_limit.add_argument("--format", choices=("csv", "json"), default="csv")
     p_limit.add_argument("--out")
     p_limit.set_defaults(func=cmd_limit_check)

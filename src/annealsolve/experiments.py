@@ -23,10 +23,10 @@ import scipy.special as sc
 from . import rate, rng
 from .dist import boltzmann_dist, trunc_normal_cdf
 from .encoding import BitRange, SupportKind, SupportSpec, check_enumerable, enumerate_support
-from .sampler import CorrectionModel, NormalModel, check_finite_positive
+from .sampler import CorrectionModel, NormalModel, TruncNormalModel, check_finite_positive, model_id
 # imported only so the benchmark's trace hooks can rebind it here
 from .sampler import q_value  # noqa: F401
-from .solver import _advance, normalize
+from .solver import _advance, check_equation, normalize
 
 EULER_GAMMA = float(np.euler_gamma)
 # closed form of E ln|xi| for a standard normal xi
@@ -70,6 +70,7 @@ class McSummary:
     median_log_error: np.ndarray  # per step, including step 0
     slope: float
     floor_step: int | None  # first step whose median is -inf (the float floor), if any
+    ceiling_step: int | None  # first step whose median is above ln _FREEZE_AT, if any
     diverged_fraction: float
     s_scaled_outcome: McOutcome
 
@@ -79,10 +80,11 @@ def _lsq_slope(median_log_error: np.ndarray) -> float:
     n = median_log_error.size - 1
     steps = np.arange(n // 2, n + 1)
     y = median_log_error[steps]
-    finite = np.isfinite(y)
-    if finite.sum() < 2:
+    # at the float floor (-inf) and above the freeze ceiling the median has stopped
+    kept = np.isfinite(y) & (y <= math.log(_FREEZE_AT))
+    if kept.sum() < 2:
         return float("nan")
-    return float(np.polyfit(steps[finite], y[finite], 1)[0])
+    return float(np.polyfit(steps[kept], y[kept], 1)[0])
 
 
 def _median_log_abs(v: np.ndarray) -> float:
@@ -185,6 +187,7 @@ def mc_convergence(
     else:
         outcome = McOutcome.INCONCLUSIVE
     floored = np.flatnonzero(np.isneginf(median_log))
+    ceiled = np.flatnonzero(median_log > math.log(_FREEZE_AT))
     return McSummary(
         n_traj=n_traj,
         n_iter=n_iter,
@@ -193,6 +196,7 @@ def mc_convergence(
         median_log_error=median_log,
         slope=_lsq_slope(median_log),
         floor_step=int(floored[0]) if floored.size else None,
+        ceiling_step=int(ceiled[0]) if ceiled.size else None,
         diverged_fraction=float(diverged.mean()),
         s_scaled_outcome=outcome,
     )
@@ -235,51 +239,42 @@ def limit_check(
     b: float,
     beta: float,
     ranges,
-    interval: tuple[float, float] | None = None,
+    limit: CorrectionModel = NormalModel(),
 ) -> list[LimitCheckRow]:
-    """KS distance of exact Boltzmann laws to their wide-register limits.
+    """KS distance of exact Boltzmann laws to their wide-register limit law.
 
-    Without an interval, each bit range builds the Boltzmann law over the
-    signed symmetric grid and compares it to N(b/a, 1/(2 a^2 beta^2)); with
-    interval (d1, d2), the range's width is the number of bits of the affine
-    grid on [d1, d2) and the limit is the correspondingly truncated normal.
-    Ranges must come ordered by increasing width.
+    With a NormalModel limit, each bit range builds the Boltzmann law over the
+    signed symmetric grid and compares it to N(b/a, 1/(2 a^2 beta^2)); with a
+    TruncNormalModel(d1, d2), the range's width is the number of bits of the
+    affine grid on [d1, d2) and the limit is that normal truncated to it.
     """
-    if not (math.isfinite(a) and a != 0.0):
-        raise ValueError(f"a must be finite and nonzero, got {a}")
-    if not math.isfinite(b):
-        raise ValueError(f"b must be finite, got {b}")
+    check_equation(a, b)
     check_finite_positive("beta", beta)
-    ranges = list(ranges)
-    widths = [rg.width for rg in ranges]
-    if any(w2 < w1 for w1, w2 in zip(widths, widths[1:])):
-        raise ValueError("ranges must be ordered by increasing p - r")
     mu = b / a
     sigma = 1.0 / (math.sqrt(2.0) * abs(a) * beta)
     if not (math.isfinite(mu) and math.isfinite(sigma)):
         raise ValueError(
             f"the limit law N(b/a, 1/(2 a^2 beta^2)) overflows at a={a}, b={b}, beta={beta}"
         )
-    if interval is not None:
-        d1, d2 = float(interval[0]), float(interval[1])
+    ranges = list(ranges)
+    if isinstance(limit, NormalModel):
+        specs = [SupportSpec(SupportKind.SIGNED_SYMMETRIC, rg) for rg in ranges]
+    elif isinstance(limit, TruncNormalModel):
+        d1, d2 = limit.d1, limit.d2
         if not (math.isfinite(d1) and math.isfinite(d2)):
             raise ValueError(f"interval endpoints must be finite, got ({d1}, {d2})")
-        if d1 > d2:
-            d1, d2 = d2, d1
-        if d1 == d2:
-            raise ValueError("interval endpoints must differ")
         # the grid k / 2^width on [0, 1), mapped affinely onto [d1, d2)
         specs = [SupportSpec(SupportKind.POSITIVE, BitRange(-rg.width, 0)) for rg in ranges]
     else:
-        specs = [SupportSpec(SupportKind.SIGNED_SYMMETRIC, rg) for rg in ranges]
+        raise ValueError(f"the limit law must be normal or truncated normal, got {model_id(limit)}")
     if specs:
-        # the widest grid comes last; refuse it before any row is computed
-        check_enumerable(specs[-1])
+        # the widest grid is refused before any row is computed
+        check_enumerable(max(specs, key=lambda spec: spec.n_bits))
 
     rows = []
     for rg, spec in zip(ranges, specs):
         support = enumerate_support(spec)
-        if interval is None:
+        if isinstance(limit, NormalModel):
             limit_cdf = sc.ndtr((support - mu) / sigma)
         else:
             support = d1 + (d2 - d1) * support

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoding import BitRange, SupportKind, SupportSpec, enumerate_patterns
-from .exceptions import DegenerateProblemError
+from .solver import check_equation
 
 COO_HEADER = "# qubo"
 
@@ -75,13 +75,10 @@ class QuboProblem:
 def build_qubo(a: float, b: float, bit_range: BitRange) -> QuboProblem:
     """Closed-form QUBO coefficients for (a*x - b)^2 with x two's-complement encoded.
 
-    Raises ValueError when a or b is not finite, or when a coefficient or the
-    offset overflows a float.
+    Raises ValueError when check_equation refuses (a, b), or when a
+    coefficient or the offset overflows a float.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"a and b must be finite, got a={a}, b={b}")
-    if a == 0.0:
-        raise DegenerateProblemError("a = 0 leaves no equation to solve")
+    check_equation(a, b)
     r, p = bit_range.r, bit_range.p
     theta = bit_range.theta
     coeff: dict[tuple[int, int], float] = {}

@@ -230,13 +230,9 @@ def _boltzmann_q(support: np.ndarray, u, c, a: float, beta: float):
         sl = slice(start, min(start + chunk, n))
         # support-major (support, draws) tile: the counts reduce over rows
         cdf = boltzmann_cdf_rows(support, 1.0 / c_flat[sl], a, beta).T
-        u_tile = u_flat[sl]
-        part = (cdf < u_tile).sum(axis=0)
-        zero = u_tile == 0.0
-        if np.any(zero):
-            # u=0 means the smallest value carrying positive mass
-            part = np.where(zero, (cdf <= 0.0).sum(axis=0), part)
-        idx[sl] = part
+        # u=0 means the smallest value carrying positive mass: CDF entries are
+        # +0.0 or at least the smallest subnormal, so cdf < 5e-324 is cdf <= 0
+        idx[sl] = (cdf < np.maximum(u_flat[sl], 5e-324)).sum(axis=0)
     return support[idx].reshape(shape)
 
 

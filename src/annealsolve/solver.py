@@ -43,12 +43,17 @@ class ProblemInstance:
         return self.b / self.a
 
 
+def check_equation(a: float, b: float) -> None:
+    """Raise ValueError unless a*x = b has finite a, b and a != 0 (DegenerateProblemError)."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"a and b must be finite, got a={a}, b={b}")
+    if a == 0.0:
+        raise DegenerateProblemError("a = 0 leaves no equation to solve")
+
+
 def normalize(a0: float, b0: float) -> ProblemInstance:
     """Rescale (a0, b0) by a power of two (and a sign flip for a0 < 0)."""
-    if not (math.isfinite(a0) and math.isfinite(b0)):
-        raise ValueError(f"a and b must be finite, got a={a0}, b={b0}")
-    if a0 == 0.0:
-        raise DegenerateProblemError("a = 0 leaves no equation to solve")
+    check_equation(a0, b0)
     if a0 < 0.0:
         a0, b0 = -a0, -b0
     mantissa, exponent = math.frexp(a0)  # a0 = mantissa * 2^exponent

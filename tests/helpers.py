@@ -114,9 +114,11 @@ def mc_convergence_oracle(model, a, b, beta, s, n_traj, n_iter, seed):
     else:
         outcome = McOutcome.INCONCLUSIVE
     floored = np.flatnonzero(np.isneginf(median_log))
+    ceiled = np.flatnonzero(median_log > math.log(_FREEZE_AT))
     return McSummary(
         n_traj=n_traj, n_iter=n_iter, s=s, l0_zero=l0_zero, median_log_error=median_log,
         slope=_lsq_slope(median_log), floor_step=int(floored[0]) if floored.size else None,
+        ceiling_step=int(ceiled[0]) if ceiled.size else None,
         diverged_fraction=float(diverged.mean()), s_scaled_outcome=outcome,
     )
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import annealsolve as ans
-from annealsolve import BitRange, BoltzmannModel, NormalModel, SupportKind
+from annealsolve import BitRange, BoltzmannModel, NormalModel, SupportKind, TruncNormalModel
 from annealsolve.sampler import PRESETS
 from helpers import chisq_pvalue, twos_complement_value
 
@@ -164,8 +164,8 @@ def test_criterion_8_limit_distributions():
     ok = True
     details = []
     for a, b in ((1.0, 0.5), (0.7, -0.3)):
-        for interval in (None, (0.0, 2.0)):
-            ks = [row.ks for row in ans.limit_check(a, b, 1.0, ranges, interval=interval)]
+        for limit in (NormalModel(), TruncNormalModel(0.0, 2.0)):
+            ks = [row.ks for row in ans.limit_check(a, b, 1.0, ranges, limit=limit)]
             ok &= ks[0] > ks[1] > ks[2] and ks[3] < 0.02
             details.append(f"{ks[0]:.4f}->{ks[3]:.5f}")
     elapsed = time.time() - t0

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import annealsolve
-from annealsolve import import_qubo
+from annealsolve import BitRange, import_qubo, limit_check
 from annealsolve.cli import _csv_header, _json_doc, build_parser, main, parse_model_spec
 from annealsolve.sampler import BoltzmannModel, NormalModel, TruncNormalModel
 
@@ -441,27 +441,41 @@ def test_limit_check_monotone_column(capsys):
     assert ks[0] > ks[1] > ks[2]
 
 
-def test_limit_check_interval_requires_bounds(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["limit-check", "--a", "1", "--b", "0.5", "--beta", "1",
-              "--ranges=-3:3", "--mode", "interval"])
-    assert err.value.code == 2
-    code, out = run_cli(capsys, "limit-check", "--a", "1", "--b", "0.5", "--beta", "1",
-                        "--ranges=-3:3", "--mode", "interval", "--d1", "0", "--d2", "2",
-                        "--format", "json")
+@pytest.mark.parametrize("spec,limit,n_points", [
+    (None, NormalModel(), [127]),
+    ("a2", TruncNormalModel(0.0, 2.0), [64]),
+    ("a4", TruncNormalModel(0.5, 1.0), [64, 8]),
+    ("truncnormal:d1=0:d2=1", TruncNormalModel(0.0, 1.0), [64, 8]),
+])
+def test_limit_check_takes_its_limit_law_as_a_model_spec(capsys, spec, limit, n_points):
+    ranges = [BitRange(-3, 3), BitRange(-2, 1)][:len(n_points)]
+    argv = ["limit-check", "--a", "0.7", "--b", "0.5", "--beta", "2",
+            "--ranges=" + ",".join(f"{rg.r}:{rg.p}" for rg in ranges), "--format", "json"]
+    code, out = run_cli(capsys, *argv, *(["--limit", spec] if spec else []))
     assert code == 0
-    assert json.loads(out)["rows"][0]["n_points"] == 64
+    doc = json.loads(out)
+    assert doc["config"]["limit"] == (spec or "normal")
+    assert [row["n_points"] for row in doc["rows"]] == n_points
+    want = limit_check(0.7, 0.5, 2.0, ranges, limit=limit)
+    assert [row["ks"] for row in doc["rows"]] == [row.ks for row in want]
 
 
-@pytest.mark.parametrize("flags", [["--d1", "0", "--d2", "1"], ["--d1", "0"], ["--d2", "1"],
-                                   ["--mode", "full-line", "--d2", "1"]])
-def test_limit_check_bounds_without_interval_mode_are_a_usage_error(capsys, flags):
+@pytest.mark.parametrize("flags", [["--mode", "interval"], ["--mode", "full-line"],
+                                   ["--d1", "0", "--d2", "1"], ["--d2", "1"]])
+def test_limit_check_mode_and_interval_flags_are_a_usage_error(capsys, flags):
     with pytest.raises(SystemExit) as err:
         main(["limit-check", "--a", "1", "--b", "0.5", "--beta", "1", "--ranges=-3:3", *flags])
     captured = capsys.readouterr()
     assert err.value.code == 2
     assert captured.out == ""
-    assert "--d1 and --d2 apply only to --mode interval" in captured.err
+    assert f"unrecognized arguments: {flags[0]}" in captured.err
+
+
+@pytest.mark.parametrize("spec", ["truncnormal:d1=2:d2=0", "truncnormal:d1=1:d2=1"])
+def test_limit_check_reversed_truncnormal_spec_is_a_usage_error(capsys, spec):
+    line = _usage_error(capsys, ["limit-check", "--a", "1", "--b", "0.5", "--beta", "1",
+                                 "--ranges=-3:3", "--limit", spec])
+    assert "need d1 < d2" in line
 
 
 def test_limit_check_without_ranges_is_a_usage_error(capsys):
@@ -483,14 +497,15 @@ def test_dash_token_that_is_not_a_number_stays_an_option(capsys):
 
 
 @pytest.mark.parametrize("flags,message", [
-    (["--a", "0"], "a must be finite and nonzero"),
-    (["--a", "inf"], "a must be finite and nonzero"),
-    (["--b", "nan"], "b must be finite"),
+    (["--a", "0"], "a = 0 leaves no equation to solve"),
+    (["--a", "inf"], "a and b must be finite"),
+    (["--b", "nan"], "a and b must be finite"),
     (["--beta", "inf"], "beta must be finite and positive"),
     (["--beta", "0"], "beta must be finite and positive"),
     (["--a", "5e-324"], "limit law"),
-    (["--mode", "interval", "--d1", "0", "--d2", "inf"], "interval endpoints must be finite"),
-    (["--mode", "interval", "--d1", "nan", "--d2", "1"], "interval endpoints must be finite"),
+    (["--limit", "truncnormal:d1=0:d2=inf"], "interval endpoints must be finite"),
+    (["--limit", "truncnormal:d1=-inf:d2=1"], "interval endpoints must be finite"),
+    (["--limit", "boltzmann:positive:r=-1:p=1"], "the limit law must be normal or truncated"),
 ])
 def test_limit_check_inputs_outside_contract_exit_1(capsys, flags, message):
     argv = {"--a": "1", "--b": "0.5", "--beta": "1"}
@@ -536,6 +551,7 @@ def _usage_error(capsys, argv):
     ["solve", "--a", "0.5", "--b", "0.7", "--beta", "2", "--model"],
     ["mc", "--beta", "2", "--n-traj", "10", "--model"],
     ["rate-curve", "--beta-min", "1", "--beta-max", "2", "--beta-steps", "2", "--models"],
+    ["limit-check", "--a", "1", "--b", "0.5", "--beta", "1", "--ranges=-3:3", "--limit"],
 ])
 def test_nan_interval_end_is_a_usage_error(capsys, argv):
     line = _usage_error(capsys, [*argv, "truncnormal:d1=nan:d2=1"])
@@ -582,8 +598,8 @@ def test_rate_curve_prints_one_row_per_model_id_and_beta(capsys, models, betas, 
 
 def test_limit_check_interval_too_wide_exits_1(capsys):
     # 2^41 grid points: refused before any allocation, like the full-line mode
-    code = main(["limit-check", "--a", "0.7", "--b", "0.5", "--beta", "2", "--mode", "interval",
-                 "--d1", "0", "--d2", "1", "--ranges=-40:1"])
+    code = main(["limit-check", "--a", "0.7", "--b", "0.5", "--beta", "2",
+                 "--limit", "truncnormal:d1=0:d2=1", "--ranges=-40:1"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
@@ -661,11 +677,11 @@ def test_mc_json_at_the_float_floor_is_strict():
 
 @settings(max_examples=10, deadline=None)
 @given(a=_nonzero, b=_finite, beta=_beta, interval=st.booleans(),
-       d=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2, unique=True))
+       d=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2, unique=True).map(sorted))
 def test_limit_check_json_is_strict(a, b, beta, interval, d):
     argv = ["limit-check", f"--a={a!r}", f"--b={b!r}", f"--beta={beta!r}", "--ranges=-2:1,-5:1"]
     if interval:
-        argv += ["--mode", "interval", f"--d1={d[0]!r}", f"--d2={d[1]!r}"]
+        argv += [f"--limit=truncnormal:d1={d[0]!r}:d2={d[1]!r}"]
     doc = _strict_json(argv)
     if doc is None:
         assert interval  # an interval too narrow to resolve is refused
@@ -683,7 +699,7 @@ _FLOAT_FLAGS = [
     (["mc", "--model", "normal", "--a", "0.5", "--b", "0.7", "--beta", "2", "--s", "1",
       "--n-traj", "16", "--n-iter", "5"], ("--a", "--b", "--beta", "--s")),
     (["limit-check", "--a", "1", "--b", "0.5", "--beta", "1", "--ranges=-3:1",
-      "--mode", "interval", "--d1", "-1", "--d2", "1"], ("--a", "--b", "--beta", "--d1", "--d2")),
+      "--limit", "truncnormal:d1=-1:d2=1"], ("--a", "--b", "--beta")),
 ]
 
 

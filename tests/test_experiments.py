@@ -15,17 +15,20 @@ import annealsolve
 from annealsolve import (
     BitRange,
     BoltzmannModel,
+    DegenerateProblemError,
     LOG_ABS_NORMAL_MEAN,
     McOutcome,
     NormalModel,
     SupportKind,
     SupportTooLargeError,
     TruncNormalModel,
+    build_qubo,
     experiments,
     ks_discrete_vs_continuous,
     limit_check,
     log_abs_normal_mean_check,
     mc_convergence,
+    model_id,
     normalize,
     preset,
     rate,
@@ -213,6 +216,26 @@ def test_mc_floor_step_is_the_first_median_at_minus_inf():
     assert above.floor_step is None
 
 
+def test_mc_ceiling_step_leaves_the_frozen_medians_out_of_the_slope():
+    # at beta = 0.25 the median passes ln 1e12 at step 36 and then stays near
+    # it, as trajectories freeze; a fit over those steps read a slope near 0
+    kwargs = dict(s=1.0, n_traj=500, seed=3)
+    args = (NormalModel(), 0.5, 0.7, 0.25)
+    summaries = {n: mc_convergence(*args, n_iter=n, **kwargs) for n in (35, 36, 60, 400)}
+    for n, summary in summaries.items():
+        assert summary_bits(summary) == summary_bits(mc_convergence_oracle(*args, n_iter=n, **kwargs))
+    median = summaries[400].median_log_error
+    assert summaries[35].ceiling_step is None
+    assert all(summaries[n].ceiling_step == 36 for n in (36, 60, 400))
+    assert median[35] <= math.log(1e12) < median[36]
+    # below the ceiling the fit is over the whole last half, as before
+    assert summaries[35].slope == np.polyfit(np.arange(17, 36), median[17:36], 1)[0]
+    assert summaries[36].slope == np.polyfit(np.arange(18, 36), median[18:36], 1)[0]
+    assert summaries[60].slope == pytest.approx(0.747, abs=1e-3)
+    assert math.isnan(summaries[400].slope)
+    assert summaries[400].floor_step is None and summaries[400].diverged_fraction == 1.0
+
+
 def test_mc_exact_start_converges_without_a_warning():
     # b = 0: the start x = 0 is exact, so the log error is -inf from step 0;
     # the outcome used to come from -inf - (-inf) = nan, with a RuntimeWarning
@@ -259,24 +282,38 @@ def test_limit_check_full_line_decreases():
 
 def test_limit_check_interval_decreases_toward_truncated_normal():
     ranges = [BitRange(3 - w, 3) for w in (6, 10, 14)]
-    rows = limit_check(1.0, 0.5, 1.0, ranges, interval=(0.0, 2.0))
+    rows = limit_check(1.0, 0.5, 1.0, ranges, limit=TruncNormalModel(0.0, 2.0))
     ks = [row.ks for row in rows]
     assert ks[0] > ks[1] > ks[2]
     assert rows[1].n_points == 2 ** 10
 
 
-def test_limit_check_interval_normalizes_swapped_endpoints():
-    ranges = [BitRange(-3, 3)]
-    fwd = limit_check(1.0, 0.5, 1.0, ranges, interval=(0.0, 2.0))
-    rev = limit_check(1.0, 0.5, 1.0, ranges, interval=(2.0, 0.0))
-    assert fwd[0].ks == rev[0].ks
+@pytest.mark.parametrize("limit", [NormalModel(), preset("a4")], ids=model_id)
+def test_limit_check_unordered_ranges_give_the_ordered_rows_in_the_given_order(limit):
+    ranges = [BitRange(-7, 3), BitRange(-3, 3), BitRange(-5, 1)]
+    rows = limit_check(1.0, 0.5, 1.0, ranges, limit=limit)
+    ordered = limit_check(1.0, 0.5, 1.0, [ranges[1], ranges[2], ranges[0]], limit=limit)
+    assert rows == [ordered[2], ordered[0], ordered[1]]
 
 
-def test_limit_check_requires_ordered_ranges():
-    with pytest.raises(ValueError):
-        limit_check(1.0, 0.5, 1.0, [BitRange(-10, 3), BitRange(-3, 3)])
-    with pytest.raises(ValueError):
-        limit_check(1.0, 0.5, 1.0, [BitRange(-3, 3)], interval=(1.0, 1.0))
+def test_limit_check_refuses_a_limit_that_is_not_a_normal_law():
+    with pytest.raises(ValueError, match="^the limit law must be normal or truncated normal, "
+                                         "got boltzmann:positive:r=-1:p=1$"):
+        limit_check(1.0, 0.5, 1.0, [BitRange(-3, 3)],
+                    limit=BoltzmannModel(SupportKind.POSITIVE, BitRange(-1, 1)))
+
+
+@pytest.mark.parametrize("a,b,error,message", [
+    (0.0, 1.0, DegenerateProblemError, "^a = 0 leaves no equation to solve$"),
+    (math.inf, 1.0, ValueError, "^a and b must be finite, got a=inf, b=1.0$"),
+    (1.0, math.nan, ValueError, "^a and b must be finite, got a=1.0, b=nan$"),
+])
+def test_limit_check_normalize_and_build_qubo_share_the_equation_check(a, b, error, message):
+    for check in (lambda: limit_check(a, b, 1.0, [BitRange(-3, 3)]),
+                  lambda: normalize(a, b),
+                  lambda: build_qubo(a, b, BitRange(-3, 1))):
+        with pytest.raises(error, match=message):
+            check()
 
 
 @pytest.mark.parametrize("a,b,beta,interval", [
@@ -301,20 +338,22 @@ def test_limit_check_interval_far_in_a_tail_is_finite(interval):
     # both tail masses round to the same double, which made the ratio 0/0
     # (exp underflow in the Boltzmann weights is expected and allowed)
     with np.errstate(divide="raise", over="raise", invalid="raise"):
-        rows = limit_check(1.0, 0.0, 20.0, [BitRange(-3, 3), BitRange(-7, 3)], interval=interval)
+        rows = limit_check(1.0, 0.0, 20.0, [BitRange(-3, 3), BitRange(-7, 3)],
+                           limit=TruncNormalModel(*interval))
     for row in rows:
         assert 0.0 <= row.ks <= 1.0
 
 
-@pytest.mark.parametrize("interval,bits", [(None, 42), ((0.0, 1.0), 41)])
-def test_limit_check_refuses_the_widest_range_before_any_row(monkeypatch, interval, bits):
+@pytest.mark.parametrize("limit,bits", [(NormalModel(), 42), (TruncNormalModel(0.0, 1.0), 41)])
+def test_limit_check_refuses_the_widest_range_before_any_row(monkeypatch, limit, bits):
     def no_rows(*args, **kwargs):
         raise AssertionError("a row was computed before the size check")
 
     monkeypatch.setattr("annealsolve.experiments.boltzmann_dist", no_rows)
     message = f"^{bits} bits exceeds enumeration limit 30$"
-    with pytest.raises(SupportTooLargeError, match=message):
-        limit_check(1.0, 0.5, 2.0, [BitRange(-3, 3), BitRange(-40, 1)], interval=interval)
+    for ranges in ([BitRange(-3, 3), BitRange(-40, 1)], [BitRange(-40, 1), BitRange(-3, 3)]):
+        with pytest.raises(SupportTooLargeError, match=message):
+            limit_check(1.0, 0.5, 2.0, ranges, limit=limit)
 
 
 def test_limit_check_22_bits_stays_under_1_gb():
@@ -338,4 +377,5 @@ def test_limit_check_refuses_an_interval_too_narrow_to_resolve():
     # both tail masses of [0, 1e-278] round to one double, so the limit CDF is 0/0;
     # it used to print ks = nan (and a RuntimeWarning), which is not a number to report
     with pytest.raises(ValueError, match="too narrow to resolve"):
-        limit_check(-1.0, 0.0, 1.0, [BitRange(-2, 1)], interval=(0.0, 1.2217363872346276e-278))
+        limit_check(-1.0, 0.0, 1.0, [BitRange(-2, 1)],
+                    limit=TruncNormalModel(0.0, 1.2217363872346276e-278))

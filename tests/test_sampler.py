@@ -159,12 +159,16 @@ def test_a4_contraction_bound():
                 assert np.all(np.abs(1.0 - c * a * q) <= 1.0 + 1e-12)
 
 
-def test_boltzmann_broadcast_matches_per_c_dists():
-    us = np.array([0.1, 0.5, 0.9])
+@pytest.mark.parametrize("beta", [1.2, 60.0])
+def test_boltzmann_broadcast_matches_per_c_dists(beta):
+    # at beta = 60 the leading support points carry zero mass, so u = 0 must
+    # skip them to the smallest value with positive mass
+    us = np.array([0.0, 0.1, 0.5, 0.9])
     cs = np.array([1.0, 1.5, 2.0])
-    got = q_value(POS21, us[None, :], cs[:, None], 0.7, 1.2)
+    got = q_value(POS21, us[None, :], cs[:, None], 0.7, beta)
     for i, c in enumerate(cs):
-        d = boltzmann_dist(1.2, POS21.support(), 1.0 / c, 0.7)
+        d = boltzmann_dist(beta, POS21.support(), 1.0 / c, 0.7)
+        assert (d.pmf[0] == 0.0) == (beta > 2.0)
         assert got[i].tolist() == [quantile(d, float(u)) for u in us]
 
 
