@@ -12,11 +12,11 @@ from .encoding import (
     BitRange,
     SupportKind,
     SupportSpec,
+    SupportTooLargeError,
     decode,
     enumerate_patterns,
     enumerate_support,
 )
-from .exceptions import DegenerateProblemError, SupportTooLargeError
 from .experiments import (
     EULER_GAMMA,
     LOG_ABS_NORMAL_MEAN,
@@ -41,6 +41,7 @@ from .sampler import (
     q_value,
 )
 from .solver import (
+    DegenerateProblemError,
     IterationTrace,
     ProblemInstance,
     normalize,

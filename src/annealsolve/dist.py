@@ -44,8 +44,9 @@ def boltzmann_dist(beta: float, support, target: float, a: float) -> DiscreteDis
 
     The energy is shifted by its minimum before exponentiation, which leaves
     the law unchanged and avoids overflow; far-out support points may
-    underflow to an exact zero mass.  Every check is written as
-    not-inside, so that NaN fails it too.
+    underflow to an exact zero mass.  Where beta^2 passes the float range
+    the law is its beta -> inf limit, even on the minimum-energy points.
+    Every check is written as not-inside, so that NaN fails it too.
     """
     support = np.asarray(support, dtype=float)
     if support.ndim != 1 or support.size == 0:
@@ -67,7 +68,13 @@ def boltzmann_dist(beta: float, support, target: float, a: float) -> DiscreteDis
         raise ValueError(
             f"energy (a*v - target)^2 overflows on the whole support (a={a}, target={target})"
         )
-    w = np.exp(-(beta * beta) * (h - h.min()))
+    if beta * beta < math.inf:
+        # a weight whose exponent passes the float range is an exact zero mass
+        with np.errstate(over="ignore"):
+            w = np.exp(-(beta * beta) * (h - h.min()))
+    else:
+        # beta^2 overflows, and -beta^2 * 0 would be NaN: the beta -> inf limit
+        w = (h == h.min()).astype(float)
     pmf = w / w.sum()
     cdf = np.cumsum(pmf)
     cdf[-1] = 1.0  # cumsum is within 1e-12 of 1; pin so u=1 queries are exact
@@ -87,15 +94,21 @@ def boltzmann_cdf_rows(support, targets, a: float, beta: float) -> np.ndarray:
     order as a row-by-row computation (the running sum is sequential, by a
     cumsum down the support axis for few targets and by row adds
     otherwise), so the values are the same bit for bit; callers that want
-    the support-major layout take ``.T``.
+    the support-major layout take ``.T``.  Where beta^2 passes the float
+    range each row is the beta -> inf limit, as in ``boltzmann_dist``.
     """
     support = np.asarray(support, dtype=float)
     targets = np.asarray(targets, dtype=float)
     h = a * support[:, None] - targets
     np.square(h, out=h)
     h -= h.min(axis=0)
-    h *= -(beta * beta)
-    np.exp(h, out=h)
+    if beta * beta < math.inf:
+        h *= -(beta * beta)
+        np.exp(h, out=h)
+    else:
+        # beta^2 overflows, and -beta^2 * 0 would be NaN: the beta -> inf
+        # limit, weight 1 on each target's minimum-energy points, 0 elsewhere
+        h = (h == 0.0).astype(float)
     if h.shape[1] < _ROW_ADD_MIN_TARGETS:
         np.cumsum(h, axis=0, out=h)
     else:

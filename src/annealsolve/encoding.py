@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import SupportTooLargeError
-
 # Enumeration guard: supports beyond this many bits are refused.
 MAX_ENUM_BITS = 30
 
@@ -91,6 +89,10 @@ def decode(bits, spec: SupportSpec) -> float:
         return magnitude + bits[-1] * spec.range.theta
     # sign-magnitude: top bit flips the sign of the magnitude
     return -magnitude if bits[-1] else magnitude
+
+
+class SupportTooLargeError(ValueError):
+    """Raised when a requested support enumeration would be too large."""
 
 
 def check_enumerable(spec: SupportSpec) -> None:

@@ -87,6 +87,40 @@ def _lsq_slope(median_log_error: np.ndarray) -> float:
     return float(np.polyfit(steps[kept], y[kept], 1)[0])
 
 
+def _summarize(
+    median_log: np.ndarray, diverged: np.ndarray, s: float, l0_zero: bool
+) -> McSummary:
+    """McSummary of an ensemble from its per-step medians and divergence flags."""
+    n_iter = median_log.size - 1
+    # median commutes with log, so this is ln median |s^n error|; with b = 0
+    # the start x = 0 is already exact (its log error is -inf) and the error
+    # stays 0
+    if median_log[0] == -math.inf:
+        shift = -math.inf
+    else:
+        shift = median_log[-1] + n_iter * math.log(s) - median_log[0]
+    if shift < math.log(1e-6):
+        outcome = McOutcome.TO_ZERO
+    elif shift > math.log(1e6):
+        outcome = McOutcome.TO_INFINITY
+    else:
+        outcome = McOutcome.INCONCLUSIVE
+    floored = np.flatnonzero(np.isneginf(median_log))
+    ceiled = np.flatnonzero(median_log > math.log(_FREEZE_AT))
+    return McSummary(
+        n_traj=diverged.size,
+        n_iter=n_iter,
+        s=s,
+        l0_zero=l0_zero,
+        median_log_error=median_log,
+        slope=_lsq_slope(median_log),
+        floor_step=int(floored[0]) if floored.size else None,
+        ceiling_step=int(ceiled[0]) if ceiled.size else None,
+        diverged_fraction=float(diverged.mean()),
+        s_scaled_outcome=outcome,
+    )
+
+
 def _median_log_abs(v: np.ndarray) -> float:
     """Median of ln|v|, with ln 0 = -inf for exact hits."""
     with np.errstate(divide="ignore"):
@@ -177,29 +211,7 @@ def mc_convergence(
             for k in range(min(rng.BLOCK_STEPS, n_iter - n0)):
                 median_log[n0 + k + 1] = np.median(log_error[k], overwrite_input=True)
 
-    # median commutes with log, so this is ln median |s^n error|; with b = 0
-    # the start x = 0 is already exact and the error stays 0
-    shift = -math.inf if ba == 0.0 else median_log[-1] + n_iter * math.log(s) - median_log[0]
-    if shift < math.log(1e-6):
-        outcome = McOutcome.TO_ZERO
-    elif shift > math.log(1e6):
-        outcome = McOutcome.TO_INFINITY
-    else:
-        outcome = McOutcome.INCONCLUSIVE
-    floored = np.flatnonzero(np.isneginf(median_log))
-    ceiled = np.flatnonzero(median_log > math.log(_FREEZE_AT))
-    return McSummary(
-        n_traj=n_traj,
-        n_iter=n_iter,
-        s=s,
-        l0_zero=l0_zero,
-        median_log_error=median_log,
-        slope=_lsq_slope(median_log),
-        floor_step=int(floored[0]) if floored.size else None,
-        ceiling_step=int(ceiled[0]) if ceiled.size else None,
-        diverged_fraction=float(diverged.mean()),
-        s_scaled_outcome=outcome,
-    )
+    return _summarize(median_log, diverged, s, l0_zero)
 
 
 def log_abs_normal_mean_check(n_samples: int, seed: int = 0) -> float:
@@ -256,6 +268,11 @@ def limit_check(
         raise ValueError(
             f"the limit law N(b/a, 1/(2 a^2 beta^2)) overflows at a={a}, b={b}, beta={beta}"
         )
+    if sigma == 0.0:
+        # the exact KS distance needs a continuous limit law
+        raise ValueError(
+            f"the limit law N(b/a, 1/(2 a^2 beta^2)) has sigma 0 at a={a}, b={b}, beta={beta}"
+        )
     ranges = list(ranges)
     if isinstance(limit, NormalModel):
         specs = [SupportSpec(SupportKind.SIGNED_SYMMETRIC, rg) for rg in ranges]
@@ -275,7 +292,9 @@ def limit_check(
     for rg, spec in zip(ranges, specs):
         support = enumerate_support(spec)
         if isinstance(limit, NormalModel):
-            limit_cdf = sc.ndtr((support - mu) / sigma)
+            # a point past the float range of sigmas has ndtr(+-inf), exact
+            with np.errstate(over="ignore"):
+                limit_cdf = sc.ndtr((support - mu) / sigma)
         else:
             support = d1 + (d2 - d1) * support
             with np.errstate(invalid="ignore"):

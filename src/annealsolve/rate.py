@@ -115,10 +115,6 @@ _FLAT_CHUNK = 1 << 13
 RATE_CSV_COLUMNS = ("model_id", "beta", "a", "kind", "value", "clamped")
 
 
-class QuadratureDisagreement(RuntimeError):
-    """Raised by the opt-in node-doubling check when quadratures disagree."""
-
-
 @dataclass(frozen=True)
 class RatePoint:
     """One cell of a rate table: E or E_max of a model at (a, beta)."""
@@ -543,27 +539,17 @@ def _E_grid(
 
 def E_func(
     model: CorrectionModel, a: float, beta: float,
-    c_steps: int = 257, gl_nodes: int = 256, check: bool = False,
+    c_steps: int = 257, gl_nodes: int = 256,
 ) -> float:
     """Mean log multiplier E(a, beta) = integral of ln r(u, a, beta) du.
 
     How E is integrated depends on the model and is decided in _E_grid: the
     normal model's E is the closed form, Boltzmann models are exact in u,
-    and other models use a quadrature.  check=True re-evaluates with doubled
-    quadrature nodes and raises if the two values differ by more than 1e-4;
-    the closed form and the Boltzmann values do not move.  Boltzmann values
-    are exact in u only: their max over c is taken on the c_steps grid.
+    and other models use a quadrature.  Boltzmann values are exact in u
+    only: their max over c is taken on the c_steps grid.
     """
     _check_inputs(a=a, beta=beta, c_steps=c_steps, gl_nodes=gl_nodes)
-    value = float(_E_grid(model, np.array([a]), beta, c_steps, gl_nodes)[0][0])
-    if check:
-        value2 = float(_E_grid(model, np.array([a]), beta, c_steps, 2 * gl_nodes)[0][0])
-        if abs(value - value2) > 1e-4 * max(1.0, abs(value2)):
-            raise QuadratureDisagreement(
-                f"E({a}, {beta}) moved from {value} to {value2} when doubling "
-                f"the {gl_nodes}-node quadrature"
-            )
-    return value
+    return float(_E_grid(model, np.array([a]), beta, c_steps, gl_nodes)[0][0])
 
 
 def _E_max_flag(

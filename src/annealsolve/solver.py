@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .exceptions import DegenerateProblemError
 from .sampler import CorrectionModel, check_finite_positive, model_id, q_value
 
 TRACE_COLUMNS = ("n", "x", "residual", "l", "c", "eta", "delta", "multiplier")
@@ -41,6 +40,10 @@ class ProblemInstance:
     @property
     def solution(self) -> float:
         return self.b / self.a
+
+
+class DegenerateProblemError(ValueError):
+    """Raised when the linear equation has a = 0 and no unique solution."""
 
 
 def check_equation(a: float, b: float) -> None:

@@ -79,12 +79,10 @@ def mc_convergence_oracle(model, a, b, beta, s, n_traj, n_iter, seed):
     """mc_convergence as one whole-ensemble loop over a row-major uniform matrix.
 
     Every step gathers the active trajectories and their uniforms, advances
-    them and scatters them back; the summary is assembled as mc_convergence
-    assembles it.
+    them and scatters them back; the summary is mc_convergence's own
+    _summarize of the medians and divergence flags.
     """
-    from annealsolve.experiments import (
-        _FREEZE_AT, DIVERGENCE_THRESHOLD, McOutcome, McSummary, _lsq_slope,
-    )
+    from annealsolve.experiments import _FREEZE_AT, DIVERGENCE_THRESHOLD, _summarize
     from annealsolve.sampler import NormalModel
     from annealsolve.solver import _advance, normalize
 
@@ -106,21 +104,7 @@ def mc_convergence_oracle(model, a, b, beta, s, n_traj, n_iter, seed):
             diverged |= abs_x > DIVERGENCE_THRESHOLD
             frozen |= abs_x > _FREEZE_AT
             median_log[n + 1] = np.median(np.log(np.abs(ba - x)))
-    shift = -math.inf if ba == 0.0 else median_log[-1] + n_iter * math.log(s) - median_log[0]
-    if shift < math.log(1e-6):
-        outcome = McOutcome.TO_ZERO
-    elif shift > math.log(1e6):
-        outcome = McOutcome.TO_INFINITY
-    else:
-        outcome = McOutcome.INCONCLUSIVE
-    floored = np.flatnonzero(np.isneginf(median_log))
-    ceiled = np.flatnonzero(median_log > math.log(_FREEZE_AT))
-    return McSummary(
-        n_traj=n_traj, n_iter=n_iter, s=s, l0_zero=l0_zero, median_log_error=median_log,
-        slope=_lsq_slope(median_log), floor_step=int(floored[0]) if floored.size else None,
-        ceiling_step=int(ceiled[0]) if ceiled.size else None,
-        diverged_fraction=float(diverged.mean()), s_scaled_outcome=outcome,
-    )
+    return _summarize(median_log, diverged, s, l0_zero)
 
 
 def summary_bits(summary) -> dict:

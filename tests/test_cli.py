@@ -520,6 +520,51 @@ def test_limit_check_inputs_outside_contract_exit_1(capsys, flags, message):
     assert "Traceback" not in captured.err
 
 
+_BOLTZMANN_SPEC = "boltzmann:positive:r=-3:p=1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit-check", "--a", "1", "--b", "0.5", "--beta", "1e300", "--ranges=-3:1"],
+    ["limit-check", "--a", "1", "--b", "0.5", "--beta", "1e300", "--ranges=-3:1",
+     "--format", "json"],
+    ["limit-check", "--a", "1", "--b", "0.5", "--beta", "1e154", "--ranges=-3:1"],
+    ["rate-curve", "--models", _BOLTZMANN_SPEC, "--beta-min", "1e300", "--beta-max", "1e300",
+     "--beta-steps", "1", "--a-steps", "3", "--c-steps", "5"],
+    ["solve", "--a", "0.5", "--b", "0.7", "--beta", "1e300", "--model", _BOLTZMANN_SPEC,
+     "--max-iter", "3"],
+    ["mc", "--a", "0.5", "--b", "0.7", "--beta", "1e300", "--model", _BOLTZMANN_SPEC,
+     "--n-traj", "16", "--n-iter", "5", "--format", "csv"],
+])
+def test_beta_past_the_float_range_prints_no_nan(capsys, argv):
+    # beta^2 overflows: the Boltzmann law is its beta -> inf limit, not NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "nan" not in out.lower()
+    rows = data_lines(out)
+    if argv[0] == "solve":
+        # every step draws a correction: the multiplier is not 1
+        assert all(float(row.split(",")[-1]) != 1.0 for row in rows[1:])
+    if argv[0] == "mc":
+        medians = [float(row.split(",")[1]) for row in rows[1:]]
+        assert medians[-1] < medians[0] - 10.0
+
+
+def test_limit_check_sigma_that_underflows_to_0_exits_1(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["limit-check", "--a", "1e200", "--b", "0", "--beta", "1e120", "--ranges=-3:1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "annealsolve: error: the limit law N(b/a, 1/(2 a^2 beta^2)) has sigma 0 "
+        "at a=1e+200, b=0.0, beta=1e+120\n"
+    )
+
+
 def test_paper_l0_flag(capsys):
     code, out = run_cli(capsys, "solve", "--a", "0.5", "--b", "0.2", "--beta", "2",
                         "--model", "normal", "--max-iter", "2", "--paper-l0")

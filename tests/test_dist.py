@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from annealsolve import boltzmann_dist, quantile, std_normal_quantile
-from annealsolve.dist import trunc_normal_quantile_arrays
+from annealsolve.dist import boltzmann_cdf_rows, trunc_normal_quantile_arrays
 from helpers import normal_quantile_oracle, trunc_normal_quantile_oracle
 
 
@@ -86,6 +86,23 @@ def test_nan_and_infinite_inputs_raise(call):
 def test_boltzmann_far_support_points_may_overflow_to_zero_mass():
     d = boltzmann_dist(1.0, [-1e200, 0.0, 1.0], 0.5, 1.0)
     assert d.pmf[0] == 0.0 and np.all(np.isfinite(d.pmf))
+
+
+def test_beta_past_the_float_range_puts_all_mass_on_the_minimum_energy_points():
+    # beta^2 overflows: the law is its beta -> inf limit, shared evenly by
+    # tied minimum-energy points (the third target ties 0 and 1/8)
+    beta = 1e300
+    support = np.arange(-8, 9) / 8.0
+    a, targets = 0.75, np.array([0.0, 0.3, 0.75 / 16, -0.9, 5.0])
+    rows = boltzmann_cdf_rows(support, targets, a, beta)
+    for row, target in zip(rows, targets):
+        energy = (a * support - target) ** 2
+        limit = (energy == energy.min()) / np.count_nonzero(energy == energy.min())
+        d = boltzmann_dist(beta, support, target, a)
+        assert np.array_equal(d.pmf, limit)
+        assert np.array_equal(d.cdf, row)
+        np.testing.assert_allclose(row, np.cumsum(limit), rtol=0, atol=1e-15)
+    assert np.count_nonzero(boltzmann_dist(beta, support, 0.75 / 16, a).pmf) == 2
 
 
 def test_quantile_examples():

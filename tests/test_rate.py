@@ -35,7 +35,6 @@ from annealsolve.rate import (
     _REFINE_CHUNK,
     LOG_FLOOR,
     RATE_CSV_COLUMNS,
-    QuadratureDisagreement,
     _C_STRIDE,
     _PRUNE_ABS,
     _PRUNE_REL,
@@ -260,15 +259,12 @@ def test_E_decreases_with_beta():
 
 
 def test_richardson_check_is_quiet_on_a_grid():
+    # doubling the default 256 quadrature nodes moves E by at most 1e-4
     for name in ("a2", "a4"):
         for beta in (0.5, 4.0):
-            E_func(preset(name), 1.0, beta, check=True)  # raises on disagreement
-
-
-def test_richardson_check_raises_on_a_coarse_quadrature():
-    # two nodes against four: E(0.7, 0.5) moves from 0.2134 to -0.0453
-    with pytest.raises(QuadratureDisagreement, match="when doubling the 2-node quadrature"):
-        E_func(preset("a1"), 0.7, 0.5, gl_nodes=2, check=True)
+            coarse = E_func(preset(name), 1.0, beta, gl_nodes=256)
+            fine = E_func(preset(name), 1.0, beta, gl_nodes=512)
+            assert abs(coarse - fine) <= 1e-4 * max(1.0, abs(fine))
 
 
 def test_normal_E_matches_closed_form():
@@ -284,7 +280,7 @@ def test_normal_E_and_E_max_are_the_closed_form():
         closed = -(math.log(beta) + np.euler_gamma / 2.0)
         for a in (0.5, 0.77, 1.0):
             assert E_func(NormalModel(), a, beta) == closed
-            assert E_func(NormalModel(), a, beta, check=True) == closed
+            assert E_func(NormalModel(), a, beta, gl_nodes=512) == closed
         assert E_max(NormalModel(), beta) == closed
         assert _E_max_flag(NormalModel(), beta, 65, 257, 256) == (closed, False)
 
