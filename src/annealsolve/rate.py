@@ -51,9 +51,12 @@ Each step is elementwise and each log-sum stays a 1-D dot per a, so every
 value is the one a one-a-at-a-time evaluation gives, bit for bit.
 
 For Boltzmann models r(u) is constant between the CDF levels of all grid
-laws.  Over the sorted piece midpoints, each grid law's quantile index is a
-staircase whose steps are found by one search of all CDF levels among the
-midpoints, not one search per law.
+laws.  One sort of all the levels gives the pieces and, through its
+inverse, where each grid law's quantile index steps among them: each
+support index covers one run of consecutive pieces.  r on a piece is the
+max over the runs that cover it, a range max that a sparse table answers
+exactly (Bender & Farach-Colton 2000), at O(c_steps K log n) for K support
+points and n pieces rather than c_steps x n.
 """
 
 from __future__ import annotations
@@ -430,37 +433,72 @@ def r_func(
 def _boltzmann_pieces(
     model: BoltzmannModel, a: float, beta: float, c_steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(length, r) of each u-piece between the CDF levels of all grid laws."""
+    """(length, r) of each u-piece between the CDF levels of all grid laws.
+
+    r on a piece is the max of |1 - c a s_k| over the (c-row, support index
+    k) runs that cover it.  Each nonempty run of L pieces is the union of
+    two blocks of 2^p pieces, p = floor(log2 L), one at its start and one
+    ending at its stop, so r is a range max answered by a sparse table
+    filled top-down (Bender & Farach-Colton 2000): level p's table holds,
+    at piece i, the largest value of a block of 2^p pieces starting at i,
+    and is the level above pushed down (a block of 2^(p+1) pieces at i is
+    the blocks of 2^p at i and i + 2^p) with its own blocks applied by
+    np.maximum.at.  The level-0 table is r.  Only two levels are live at
+    once, and max rounds nothing, so r is the max over the covering runs
+    bit for bit, at O(c_steps K log n) for K support points and n pieces
+    rather than c_steps x n.
+    """
     support = model.support()
     c = np.linspace(1.0, 2.0, c_steps)
-    cdf = boltzmann_cdf_rows(support, 1.0 / c, a, beta)
-    inner = cdf[:, :-1]
-    levels = np.unique(np.concatenate([inner.ravel(), (0.0, 1.0)]))
-    mids = 0.5 * (levels[1:] + levels[:-1])
+    inner = boltzmann_cdf_rows(support, 1.0 / c, a, beta)[:, :-1]
+    levels, rank = np.unique(np.concatenate([inner.ravel(), (0.0, 1.0)]), return_inverse=True)
     lengths = np.diff(levels)
-    # row j's quantile index at mids[i] is #{k : cdf[j, k] < mids[i]} (the
+    n = lengths.size
+    # row j's quantile index on piece i is #{k : cdf[j, k] < mids[i]} (the
     # last level is 1 and never counts); rows are nondecreasing, so over the
-    # sorted mids support index k fills the run ends[j, k-1] <= i < ends[j, k]
-    ends = np.searchsorted(mids, inner, side="right")
-    counts = np.diff(ends, prepend=0, append=mids.size, axis=1)
-    vals = np.abs(1.0 - (c[:, None] * a) * support)
-    r = np.zeros(mids.size)
-    # several rows go through each repeat, and each tile is freed before the
-    # next is built, so its memory is reused
-    rows = max(1, _MAX_CELLS // mids.size)
-    for j in range(0, c_steps, rows):
-        tile = np.repeat(vals[j:j + rows].ravel(), counts[j:j + rows].ravel())
-        tile = tile.reshape(-1, mids.size)
-        np.maximum(r, tile.max(axis=0) if rows > 1 else tile[0], out=r)
-        del tile
+    # sorted mids support index k fills the run ends[j, k] <= i < ends[j, k+1],
+    # where ends[j, k+1] counts the mids at or below cdf[j, k] = levels[m],
+    # m = rank[j, k]: mids[i] lies in [levels[i], levels[i+1]], so that is
+    # m, plus one where mids[m] rounds down onto levels[m] (the sentinel
+    # past the last mid keeps the level m = n at n)
+    mids = np.append(0.5 * (levels[1:] + levels[:-1]), np.inf)
+    rank = rank[:-2].reshape(inner.shape)
+    ends = np.full((c_steps, support.size + 1), n)
+    ends[:, 0] = 0
+    np.add(rank, mids[rank] <= levels[rank], out=ends[:, 1:-1])
+    run = ends[:, 1:] > ends[:, :-1]
+    start, stop = ends[:, :-1][run], ends[:, 1:][run]
+    vals = np.abs(1.0 - (c[:, None] * a) * support)[run]
+    # only the runs are needed from here on
+    del inner, levels, rank, mids, ends, run
+    # frexp's exponent of an integer L is floor(log2 L) + 1
+    level = np.frexp(stop - start)[1] - 1
+    # the runs grouped by level: a stable sort of 8-bit keys is a radix sort
+    order = np.argsort(level.astype(np.int8), kind="stable")
+    start, stop, vals, level = start[order], stop[order], vals[order], level[order]
+    top = int(level[-1])
+    # level p's runs are those in bounds[p]:bounds[p + 1]
+    bounds = np.searchsorted(level, np.arange(top + 2))
+    r = np.zeros(n)
+    for p in range(top, -1, -1):
+        width = 1 << p
+        if p < top:
+            # numpy buffers the overlapping operands, so each piece takes the
+            # level above at its own index and width pieces before it
+            np.maximum(r[width:], r[:-width], out=r[width:])
+        on = slice(bounds[p], bounds[p + 1])
+        # each run's two blocks: at its start and ending at its stop
+        np.maximum.at(r, start[on], vals[on])
+        np.maximum.at(r, stop[on] - width, vals[on])
     return lengths, r
 
 
 def _E_boltzmann(model: BoltzmannModel, a: float, beta: float, c_steps: int) -> tuple[float, bool]:
     """E, exact in u: r(u) is constant on each piece.
 
-    The max over c is taken on the c_steps grid, which reads E low, by about
-    2-3e-3 at the default 257 points.
+    _boltzmann_pieces forms the pieces and r at O(c_steps K log n) for K
+    support points and n pieces.  The max over c is taken on the c_steps
+    grid, which reads E low, by about 2-3e-3 at the default 257 points.
     """
     lengths, r = _boltzmann_pieces(model, a, beta, c_steps)
     clamped = bool(np.any(r < LOG_FLOOR))

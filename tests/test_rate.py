@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -125,6 +126,72 @@ def test_E_boltzmann_staircase_matches_row_search(kind, r):
                 e_ref = float(lengths @ np.log(np.maximum(r_ref, LOG_FLOOR)))
                 clamped_ref = bool(np.any(r_ref < LOG_FLOOR))
                 assert _E_boltzmann(model, a, beta, c_steps) == (e_ref, clamped_ref)
+
+
+def assert_pieces_match_row_search(model, a, beta, c_steps):
+    lengths, r_ref = boltzmann_pieces_row_search(model, a, beta, c_steps)
+    got_lengths, got_r = _boltzmann_pieces(model, a, beta, c_steps)
+    np.testing.assert_array_equal(got_lengths, lengths)
+    np.testing.assert_array_equal(got_r, r_ref)
+    e_ref = float(lengths @ np.log(np.maximum(r_ref, LOG_FLOOR)))
+    assert _E_boltzmann(model, a, beta, c_steps) == (e_ref, bool(np.any(r_ref < LOG_FLOOR)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from([SupportKind.POSITIVE, SupportKind.SIGNED_SYMMETRIC]),
+    r=st.integers(-6, 0),
+    a=st.floats(0.5, 1.0),
+    # 40 is where piece midpoints tie with CDF levels (adjacent floats)
+    beta=st.one_of(st.just(40.0), st.floats(-2.0, 4.0).map(lambda x: 10.0**x)),
+    c_steps=st.integers(1, 300),
+)
+def test_boltzmann_pieces_match_row_search_property(kind, r, a, beta, c_steps):
+    assert_pieces_match_row_search(BoltzmannModel(kind, BitRange(r, 1)), a, beta, c_steps)
+
+
+def cdf_run_features(model, a, beta, c_steps):
+    """Whether some inner CDF level is 1, some row has an empty run, and some
+    row's one run spans every piece of several (the sparse table's top level).
+    """
+    c = np.linspace(1.0, 2.0, c_steps)
+    inner = boltzmann_cdf_rows(model.support(), 1.0 / c, a, beta)[:, :-1]
+    levels = np.unique(np.concatenate([inner.ravel(), (0.0, 1.0)]))
+    row_levels = [np.unique(np.concatenate([row, (0.0, 1.0)])) for row in inner]
+    return (
+        bool(np.any(inner == 1.0)),
+        any(np.unique(row).size < row.size for row in inner),
+        levels.size > 3 and any(row.size == 2 for row in row_levels),
+    )
+
+
+@pytest.mark.parametrize("kind", [SupportKind.POSITIVE, SupportKind.SIGNED_SYMMETRIC])
+@pytest.mark.parametrize(
+    "r, beta, c_steps, a",
+    [(-2, 1e3, 300, 0.5), (-4, 1e3, 17, 0.7), (-4, 1e3, 300, 0.5), (-6, 1e4, 300, 0.7)],
+)
+def test_boltzmann_pieces_match_row_search_at_the_run_edge_cases(kind, r, beta, c_steps, a):
+    # at large beta most laws put all their mass on one support point, so
+    # their CDF levels are exact 0s and 1s: runs are empty, and one run
+    # covers every piece, while the few laws near a tie split the pieces
+    model = BoltzmannModel(kind, BitRange(r, 1))
+    assert cdf_run_features(model, a, beta, c_steps) == (True, True, True)
+    assert_pieces_match_row_search(model, a, beta, c_steps)
+
+
+def test_boltzmann_pieces_peak_memory_on_a_wide_register():
+    # 1024 support points on the default grid make 262 912 pieces; the
+    # sparse table keeps two of its levels and the runs live at once, and
+    # peaks at about 20 MiB (numpy 2.4, x86-64)
+    model = parse_model_spec("boltzmann:positive:r=-9:p=1")
+    _boltzmann_pieces(model, 0.7, 4.0, 2)
+    tracemalloc.start()
+    try:
+        _boltzmann_pieces(model, 0.7, 4.0, 257)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * 2**20
 
 
 def oracle_golden(f, lo, hi, iters):
