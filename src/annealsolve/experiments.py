@@ -121,12 +121,6 @@ def _summarize(
     )
 
 
-def _median_log_abs(v: np.ndarray) -> float:
-    """Median of ln|v|, with ln 0 = -inf for exact hits."""
-    with np.errstate(divide="ignore"):
-        return float(np.median(np.log(np.abs(v))))
-
-
 def mc_convergence(
     model: CorrectionModel,
     a: float,
@@ -171,37 +165,33 @@ def mc_convergence(
     frozen = np.zeros(n_traj, dtype=bool)
     log_error = np.empty((rng.BLOCK_STEPS, n_traj))  # ln|b/a - x| after each step of a block
     median_log = np.empty(n_iter + 1)
-    median_log[0] = _median_log_abs(ba - x)
+    with np.errstate(divide="ignore"):
+        np.log(np.abs(ba - x), out=log_error[0])
+    median_log[0] = np.median(log_error[0], overwrite_input=True)
 
     def advance_slice(i: int, n0: int) -> None:
         """One Philox block of steps, from step n0, for the trajectories in slice i."""
         t = slice(edges[i], edges[i + 1])
         steps = range(n0, min(n0 + rng.BLOCK_STEPS, n_iter))
         xs = x[t]
-        active = ~frozen[t] & (inst.b - inst.a * xs != 0.0)
-        if not active.any():
-            # exact and frozen trajectories stay so: the slice skips its draw,
-            # but the medians permute the error rows, so each is written again
-            with np.errstate(divide="ignore"):
-                log_error[:len(steps), t] = np.log(np.abs(ba - xs))
-            return
-        u_block = rng.uniform_matrix(seed, range(t.start, t.stop), steps)
         for k, n in enumerate(steps):
-            u, first = u_block[k], l0_zero and n == 0
-            if k:
-                active = ~frozen[t] & (inst.b - inst.a * xs != 0.0)
-            # the zero-exponent first step's c = 1/|res| overflows to inf for a
-            # residual below 2^-1024, which the quantile takes (q = 1/(a c) + ...),
-            # and an iterate that overflows is frozen below, so the warning is
-            # noise; errstate is per thread, so it is set here, in the worker
-            with np.errstate(over="ignore"):
-                if active.all():
-                    xs[:] = _advance(xs, inst, model, beta, u, first)[0]
-                elif active.any():
-                    xs[active] = _advance(xs[active], inst, model, beta, u[active], first)[0]
-            abs_x = np.abs(xs)
-            diverged[t] |= abs_x > DIVERGENCE_THRESHOLD
-            frozen[t] |= abs_x > _FREEZE_AT
+            active = ~frozen[t] & (inst.b - inst.a * xs != 0.0)
+            if active.any():
+                # the active set only shrinks (exact and frozen stay so): draw at k = 0 or never
+                if k == 0:
+                    u_block = rng.uniform_matrix(seed, range(t.start, t.stop), steps)
+                # a view where every trajectory moves, so nothing is gathered
+                sel = slice(None) if active.all() else active
+                first = l0_zero and n == 0
+                # the zero-exponent first step's c = 1/|res| overflows to inf for a
+                # residual below 2^-1024, which the quantile takes (q = 1/(a c) + ...),
+                # and an iterate that overflows is frozen below, so the warning is
+                # noise; errstate is per thread, so it is set here, in the worker
+                with np.errstate(over="ignore"):
+                    xs[sel] = _advance(xs[sel], inst, model, beta, u_block[k][sel], first)[0]
+                abs_x = np.abs(xs)
+                diverged[t] |= abs_x > DIVERGENCE_THRESHOLD
+                frozen[t] |= abs_x > _FREEZE_AT
             with np.errstate(divide="ignore"):
                 np.log(np.abs(ba - xs), out=log_error[k, t])
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,12 +37,10 @@ class QuboProblem:
     offset: float
     a: float
     b: float
-    _spec: SupportSpec = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_spec", SupportSpec(SupportKind.TWOS_COMPLEMENT, self.range)
-        )
+    @property
+    def _spec(self) -> SupportSpec:
+        return SupportSpec(SupportKind.TWOS_COMPLEMENT, self.range)
 
     @property
     def n_bits(self) -> int:

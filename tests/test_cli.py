@@ -530,6 +530,9 @@ _BOLTZMANN_SPEC = "boltzmann:positive:r=-3:p=1"
     ["limit-check", "--a", "1", "--b", "0.5", "--beta", "1e154", "--ranges=-3:1"],
     ["rate-curve", "--models", _BOLTZMANN_SPEC, "--beta-min", "1e300", "--beta-max", "1e300",
      "--beta-steps", "1", "--a-steps", "3", "--c-steps", "5"],
+    # beta^2 is finite, but beta^2 times an energy gap is not
+    ["rate-curve", "--models", _BOLTZMANN_SPEC, "--beta-min", "1e154", "--beta-max", "1e154",
+     "--beta-steps", "1", "--a-steps", "3", "--c-steps", "5"],
     ["solve", "--a", "0.5", "--b", "0.7", "--beta", "1e300", "--model", _BOLTZMANN_SPEC,
      "--max-iter", "3"],
     ["mc", "--a", "0.5", "--b", "0.7", "--beta", "1e300", "--model", _BOLTZMANN_SPEC,
@@ -550,6 +553,20 @@ def test_beta_past_the_float_range_prints_no_nan(capsys, argv):
     if argv[0] == "mc":
         medians = [float(row.split(",")[1]) for row in rows[1:]]
         assert medians[-1] < medians[0] - 10.0
+
+
+def test_solve_whose_every_energy_overflows_exits_1(capsys):
+    # the first target 1/c is 5e199: the Boltzmann law has no finite energy
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", "--paper-l0", "--model", _BOLTZMANN_SPEC, "--a", "1", "--b",
+                     "1e200", "--beta", "1", "--max-iter", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("annealsolve: error: ") and captured.err.count("\n") == 1
+    assert "overflows on the whole support" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_limit_check_sigma_that_underflows_to_0_exits_1(capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,44 @@ def test_beta_past_the_float_range_puts_all_mass_on_the_minimum_energy_points():
         assert np.array_equal(d.cdf, row)
         np.testing.assert_allclose(row, np.cumsum(limit), rtol=0, atol=1e-15)
     assert np.count_nonzero(boltzmann_dist(beta, support, 0.75 / 16, a).pmf) == 2
+
+
+def cdf_rows_ignoring_overflow(support, targets, a, beta):
+    """boltzmann_cdf_rows' arithmetic, one row at a time, with every float warning off."""
+    rows = []
+    with np.errstate(all="ignore"):
+        for target in targets:
+            h = (a * support - target) ** 2
+            cdf = np.cumsum(np.exp(-(beta * beta) * (h - h.min())))
+            cdf[:-1] /= cdf[-1]
+            cdf[-1] = 1.0
+            rows.append(cdf)
+    return np.array(rows)
+
+
+def test_boltzmann_cdf_rows_refuses_a_target_whose_energies_all_overflow():
+    # every energy of the 1e200 target passes the float range, as in boltzmann_dist
+    support = np.arange(16) / 8.0
+    with pytest.raises(ValueError) as ref:
+        boltzmann_dist(1.0, support, 1e200, 0.5)
+    assert "overflows on the whole support" in str(ref.value)
+    with pytest.raises(ValueError) as err:
+        boltzmann_cdf_rows(support, np.array([0.7, 1e200, 1.0]), 0.5, 1.0)
+    assert str(err.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("a,beta", [(1.0, 1e154), (1e200, 1.0)], ids=["beta-1e154", "a-1e200"])
+def test_boltzmann_cdf_rows_past_the_float_range_warn_nothing(a, beta):
+    # beta^2 times an energy gap overflows, or all energies but the nearest
+    # do: those weights are exact zeros, with no raw numpy warning
+    support = np.arange(16) / 8.0
+    targets = 1.0 / np.linspace(1.0, 2.0, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = boltzmann_cdf_rows(support, targets, a, beta)
+    assert np.array_equal(rows, cdf_rows_ignoring_overflow(support, targets, a, beta))
+    # every row puts its mass on one point
+    assert np.all(np.isin(rows, (0.0, 1.0)))
 
 
 def test_quantile_examples():
