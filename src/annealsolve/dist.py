@@ -40,13 +40,45 @@ class DiscreteDist:
     cdf: np.ndarray
 
 
+def _boltzmann_weights(support: np.ndarray, targets, a: float, beta: float) -> np.ndarray:
+    """Unnormalised Boltzmann weights, one column per target: (support, targets).
+
+    The one weight step of ``boltzmann_dist`` and ``boltzmann_cdf_rows``.
+    Each column's energy ``(a*v - target)^2`` is shifted by its minimum
+    before exponentiation, which leaves the law unchanged and avoids
+    overflow; far-out support points may underflow to an exact zero
+    weight.  An energy that overflows gives its point zero weight, unless
+    all of a column's do, which is a ValueError.  Where beta^2 passes the
+    float range the weights are the beta -> inf limit: 1 on each column's
+    minimum-energy points, 0 elsewhere.
+    """
+    targets = np.asarray(targets, dtype=float)
+    with np.errstate(over="ignore"):
+        h = a * support[:, None] - targets
+        np.square(h, out=h)
+        low = h.min(axis=0)
+        # written as not-inside, so that a NaN target fails it too
+        if not low.max() < math.inf:
+            target = float(targets[np.argmin(low < math.inf)])
+            raise ValueError(
+                f"energy (a*v - target)^2 overflows on the whole support (a={a}, target={target})"
+            )
+        h -= low
+        if beta * beta < math.inf:
+            # a weight whose exponent passes the float range is an exact zero
+            h *= -(beta * beta)
+            np.exp(h, out=h)
+        else:
+            # beta^2 overflows, and -beta^2 * 0 would be NaN: the beta -> inf limit
+            h = (h == 0.0).astype(float)
+    return h
+
+
 def boltzmann_dist(beta: float, support, target: float, a: float) -> DiscreteDist:
     """Boltzmann law with energy H(v) = (a*v - target)^2 on a finite support.
 
-    The energy is shifted by its minimum before exponentiation, which leaves
-    the law unchanged and avoids overflow; far-out support points may
-    underflow to an exact zero mass.  Where beta^2 passes the float range
-    the law is its beta -> inf limit, even on the minimum-energy points.
+    The weights, with their overflow and beta -> inf rules, come from
+    ``_boltzmann_weights``, the weight step ``boltzmann_cdf_rows`` shares.
     Every check is written as not-inside, so that NaN fails it too.
     """
     support = np.asarray(support, dtype=float)
@@ -62,20 +94,7 @@ def boltzmann_dist(beta: float, support, target: float, a: float) -> DiscreteDis
         raise ValueError(f"a must be finite and nonzero, got {a}")
     if not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
-    # an energy that overflows gives its point zero mass, unless all do
-    with np.errstate(over="ignore"):
-        h = (a * support - target) ** 2
-    if not h.min() < math.inf:
-        raise ValueError(
-            f"energy (a*v - target)^2 overflows on the whole support (a={a}, target={target})"
-        )
-    if beta * beta < math.inf:
-        # a weight whose exponent passes the float range is an exact zero mass
-        with np.errstate(over="ignore"):
-            w = np.exp(-(beta * beta) * (h - h.min()))
-    else:
-        # beta^2 overflows, and -beta^2 * 0 would be NaN: the beta -> inf limit
-        w = (h == h.min()).astype(float)
+    w = _boltzmann_weights(support, (target,), a, beta)[:, 0]
     pmf = w / w.sum()
     cdf = np.cumsum(pmf)
     cdf[-1] = 1.0  # cumsum is within 1e-12 of 1; pin so u=1 queries are exact
@@ -88,37 +107,17 @@ def boltzmann_cdf_rows(support, targets, a: float, beta: float) -> np.ndarray:
     Row ``k`` is the CDF over ``support`` for energy ``(a*v - targets[k])^2``.
     Shared by the sampler and the rate machinery, which sweep targets 1/c.
 
-    The work is done support-major, in a contiguous (support, targets)
-    array, and the result is its transposed view: each step is a whole-array
-    operation or a row add over all targets, never a reduction along a short
-    row.  Every element goes through the same float operations in the same
-    order as a row-by-row computation (the running sum is sequential, by a
-    cumsum down the support axis for few targets and by row adds
-    otherwise), so the values are the same bit for bit; callers that want
-    the support-major layout take ``.T``.  Energies and weights past the
-    float range follow ``boltzmann_dist``.
+    The work is done support-major, in the contiguous (support, targets)
+    array of ``_boltzmann_weights`` (the weight step ``boltzmann_dist``
+    shares), and the result is its transposed view: each step is a
+    whole-array operation or a row add over all targets, never a reduction
+    along a short row.  Every element goes through the same float
+    operations in the same order as a row-by-row computation (the running
+    sum is sequential, by a cumsum down the support axis for few targets
+    and by row adds otherwise), so the values are the same bit for bit;
+    callers that want the support-major layout take ``.T``.
     """
-    support = np.asarray(support, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    # an energy that overflows gives its point zero mass, unless all do
-    with np.errstate(over="ignore"):
-        h = a * support[:, None] - targets
-        np.square(h, out=h)
-        low = h.min(axis=0)
-        if not low.max() < math.inf:
-            target = float(targets[np.argmin(low < math.inf)])
-            raise ValueError(
-                f"energy (a*v - target)^2 overflows on the whole support (a={a}, target={target})"
-            )
-        h -= low
-        if beta * beta < math.inf:
-            # a weight whose exponent passes the float range is an exact zero mass
-            h *= -(beta * beta)
-            np.exp(h, out=h)
-        else:
-            # beta^2 overflows, and -beta^2 * 0 would be NaN: the beta -> inf
-            # limit, weight 1 on each target's minimum-energy points, 0 elsewhere
-            h = (h == 0.0).astype(float)
+    h = _boltzmann_weights(np.asarray(support, dtype=float), targets, a, beta)
     if h.shape[1] < _ROW_ADD_MIN_TARGETS:
         np.add.accumulate(h, axis=0, out=h)
     else:

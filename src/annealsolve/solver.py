@@ -167,7 +167,8 @@ def solve(
     """Run refinement steps with a deterministic uniform stream.
 
     Stops at max_iter, at |residual| <= tol, or at an exactly zero residual;
-    raises ValueError, naming the step, if an iterate overflows.
+    raises ValueError, naming the step, if an iterate overflows or the
+    step's law cannot be drawn (then also the normalised equation).
     l0_zero forces l = 0 on the first step (the normal-model threshold
     convention) instead of classifying the initial residual.
     """
@@ -190,9 +191,16 @@ def solve(
     # is noise; a NaN residual goes on, so that q_value rejects it
     with np.errstate(over="ignore"):
         while n < max_iter and not abs(inst.b - inst.a * x[n]) <= tol:
-            x[n + 1], res[n], l[n], c[n], q[n], delta[n] = _advance(
-                x[n], inst, model, beta, etas[n], l0_zero and n == 0
-            )
+            try:
+                x[n + 1], res[n], l[n], c[n], q[n], delta[n] = _advance(
+                    x[n], inst, model, beta, etas[n], l0_zero and n == 0
+                )
+            except ValueError as err:
+                # the law sees the normalised equation, not the one typed
+                raise ValueError(
+                    f"step {n} of {inst.a}*x = {inst.b} (a*x = b scaled by "
+                    f"2^{inst.shift}; the law's target is 1/c): {err}"
+                ) from None
             if not math.isfinite(x[n + 1]):
                 raise ValueError(
                     f"solve diverged: step {n} took the iterate from {float(x[n])!r} "

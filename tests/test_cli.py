@@ -564,7 +564,12 @@ def test_solve_whose_every_energy_overflows_exits_1(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err.startswith("annealsolve: error: ") and captured.err.count("\n") == 1
+    # the line names the step and the normalised equation whose law failed
+    assert captured.err.startswith(
+        "annealsolve: error: step 0 of 0.5*x = 5e+199 (a*x = b scaled by 2^-1; "
+        "the law's target is 1/c): "
+    )
+    assert captured.err.count("\n") == 1
     assert "overflows on the whole support" in captured.err
     assert "Traceback" not in captured.err
 
