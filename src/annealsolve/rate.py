@@ -11,15 +11,15 @@ u in [0, 1] certifies almost-sure convergence to b/a whenever it is
 negative, and E_max(beta) = max over a in [1/2, 1] of E(a, beta) is the
 pessimistic headline curve per model.
 
-Which kind of model is at hand is decided in two places.  _E_grid decides
-how E is integrated: the normal model has the closed form
+Which kind of model is at hand is decided in three places.  _E_grid
+decides how E is integrated: the normal model has the closed form
 E = -ln(beta) - gamma/2 for every a, because r(u) = sqrt(2) |Phi^-1(u)| / beta;
 Boltzmann models are integrated exactly in u, piece by piece; other models
-take the batched quadrature.  _r_profile_continuous decides whether the best
-grid c is refined: not for the normal model, whose maximand is linear in c,
-nor for Boltzmann models, whose quantiles are piecewise constant in c.  It
-also decides whether grid cells can be skipped: only for the normal and
-truncated-normal laws.
+take the batched quadrature.  r_func decides how r is taken at one u: the
+plain dense-grid max for the normal law, whose maximand is linear in c, and
+for Boltzmann laws, whose quantiles are piecewise constant in c; the refined
+profile for other models.  _r_profile_continuous decides only whether grid
+cells can be skipped: only for the normal and truncated-normal laws.
 
 Continuous models take the max over c on a dense c-grid, refined inside
 the grid cells next to the best grid point, and use Gauss-Legendre
@@ -33,8 +33,8 @@ grid: 1 - c a q = -(c / beta) y(c) with y nondecreasing in c, so the two
 end values of a grid cell bound every value inside it, and only the cells
 whose bound can reach the best end value are evaluated (interval
 elimination, as in Shubert 1972).  The grid maximum, its first argmax and
-its neighbours' values are the full grid's, bit for bit.  Other models and
-plain callables have no such bound and evaluate every grid point.
+its neighbours' values are the full grid's, bit for bit.  Plain callables
+have no such bound and evaluate every grid point.
 
 One bracketed maximiser, _bracket_max, refines both maxima: over c at
 every quadrature node, and over a around the best cell of E_max's a-grid.
@@ -52,11 +52,12 @@ value is the one a one-a-at-a-time evaluation gives, bit for bit.
 
 For Boltzmann models r(u) is constant between the CDF levels of all grid
 laws.  One sort of all the levels gives the pieces and, through its
-inverse, where each grid law's quantile index steps among them: each
-support index covers one run of consecutive pieces.  r on a piece is the
-max over the runs that cover it, a range max that a sparse table answers
-exactly (Bender & Farach-Colton 2000), at O(c_steps K log n) for K support
-points and n pieces rather than c_steps x n.
+inverse, the levels' ranks: a grid law's support index k covers the run of
+pieces from the rank of its CDF level k - 1 to that of level k, as the
+sampler's count #{k : cdf[k] < u} does.  r on a piece is the max over the
+runs that cover it, a range max that a sparse table answers exactly
+(Bender & Farach-Colton 2000), at O(c_steps K log n) for K support points
+and n pieces rather than c_steps x n.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ import numpy as np
 from .dist import boltzmann_cdf_rows
 from .sampler import (
     _MAX_CELLS, BoltzmannModel, CorrectionModel, NormalModel, TruncNormalModel,
-    check_finite_positive, model_id,
+    check_finite_positive, check_scale, model_id,
 )
 
 # imported only so the benchmark's trace hooks can rebind them here
@@ -130,9 +131,11 @@ class RatePoint:
     clamped: bool
 
 
-def _check_inputs(*, beta, a=None, a_steps=None, c_steps, gl_nodes=None) -> None:
+def _check_inputs(*, model, beta, a=None, a_steps=None, c_steps, gl_nodes=None) -> None:
     """Reject rate inputs outside the contract; None marks an unused input.
 
+    model's scale is checked at a, or else at the a-grid's smallest a = 1/2,
+    except for the normal E (gl_nodes given), a closed form that reads none.
     Called once per public call, never per cell.
     """
     for name, value in (("a", a), ("beta", beta)):
@@ -142,6 +145,8 @@ def _check_inputs(*, beta, a=None, a_steps=None, c_steps, gl_nodes=None) -> None
     for name, value, least in counts:
         if value is not None and value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
+    if gl_nodes is None or not isinstance(model, NormalModel):
+        check_scale(model, 0.5 if a is None else a, beta)
 
 
 @lru_cache(maxsize=16)
@@ -282,8 +287,8 @@ def _r_profile_continuous(
 ) -> np.ndarray:
     """r(u) at every node: pruned c-grid pass, then a bracketed maximiser per node.
 
-    a is a scalar or has shape (m, 1) and u has shape (n,) or (m, n); r has
-    their broadcast shape, row i using coefficient a[i].
+    a has shape (m, 1) and u has shape (n,) or (m, n); r has their
+    broadcast shape, row i using coefficient a[i].
 
     The grid pass first evaluates every _C_STRIDE-th grid point and the
     last one, the ends of the pass's cells, and then the interior of only
@@ -297,8 +302,8 @@ def _r_profile_continuous(
     the signed end values F_L, F_R, and a cell is evaluated only where
     B >= M (1 - _PRUNE_REL) - _PRUNE_ABS.  The first argmax over the
     evaluated points is then the whole grid's first argmax, with the same
-    value bit for bit.  Other laws and plain callables have no such bound:
-    they take the same pass at stride 1, where every grid point is an end.
+    value bit for bit.  Plain callables have no such bound: they take the
+    same pass at stride 1, where every grid point is an end.
 
     The pass runs in (rows, ends and cells, nodes) tiles of about _MAX_CELLS
     values, and the kernel sees one coefficient per row at the ends, so work
@@ -313,12 +318,9 @@ def _r_profile_continuous(
     c = np.linspace(1.0, 2.0, c_steps)
     shape = np.broadcast_shapes(np.shape(a), np.shape(u))
     u_rows = np.broadcast_to(u, shape).reshape(-1, shape[-1])
-    a_rows = None if np.ndim(a) == 0 else np.reshape(a, (-1, 1, 1))
+    a_rows = np.reshape(a, (-1, 1, 1))
     m, n = u_rows.shape
-    # the normal maximand |1 - c a (1/(a c) + s)| = c a |s| is linear in c,
-    # so the grid endpoint c = 2 is already the maximum; Boltzmann quantiles
-    # are piecewise constant in c, so the dense grid alone is used for them
-    refine = refine and c_steps > 2 and not isinstance(model, (NormalModel, BoltzmannModel))
+    refine = refine and c_steps > 2
     stride = _C_STRIDE if isinstance(model, (NormalModel, TruncNormalModel)) else 1
     ends = np.append(np.arange(0, c_steps - 1, stride), c_steps - 1)
     lo, hi = ends[:-1], ends[1:]
@@ -353,8 +355,7 @@ def _r_profile_continuous(
         for t in range(0, r_i.size, step):
             r_t, cell_t, n_t = r_i[t:t + step], cell[t:t + step], n_i[t:t + step]
             at = np.minimum(lo[cell_t, None] + inner, hi[cell_t, None] - 1)
-            a_k = a_t if a_rows is None else a_t[r_t, 0]
-            values = _maximand(q, u_t[r_t, n_t][:, None], c[at], a_k, beta)
+            values = _maximand(q, u_t[r_t, n_t][:, None], c[at], a_t[r_t, 0], beta)
             offset[r_t, cell_t, n_t] = np.argmax(values, axis=1)
             seq[r_t, 2 * cell_t + 1, n_t] = values.max(axis=1)
         p = np.argmax(seq, axis=1)[:, None]
@@ -384,17 +385,16 @@ def _r_profile_continuous(
     cols = -(-n // per_row)
     rows = max(1, _MAX_CELLS // (width * n))
     for i in range(0, m, rows):
-        a_tile = a if a_rows is None else a_rows[i:i + rows]
         for j in range(0, n, cols):
             best[i:i + rows, j:j + cols], near[:, i:i + rows, j:j + cols] = tile(
-                u_rows[i:i + rows, j:j + cols], a_tile
+                u_rows[i:i + rows, j:j + cols], a_rows[i:i + rows]
             )
     if not refine:
         return near[0].reshape(shape)
     h = 1.0 / (c_steps - 1)
     c_best = c[best.ravel()]
     u_nodes = u_rows.ravel()
-    a_nodes = np.broadcast_to(np.reshape(a, (-1, 1)), (m, n)).ravel()
+    a_nodes = np.broadcast_to(a_rows[:, 0], (m, n)).ravel()
     c_near = c[_around(best.ravel(), c_steps)]
     near = near.reshape(3, -1)
     # the neighbours that are not ends, at most two per node
@@ -417,17 +417,18 @@ def r_func(
 ) -> float:
     """Worst multiplier |1 - c*a*q| over c in [1, 2] at one quantile u.
 
-    The max over the dense c-grid, refined by the bracketed maximiser inside
-    the grid cells next to the best grid point where the model needs it
-    (_r_profile_continuous decides); the maximand need not be concave,
-    which is why the grid stays dense.  For the normal and truncated-normal
-    laws, grid cells whose end values bound them below the best end value
-    are skipped, which leaves the grid maximum unchanged bit for bit.
+    The normal and Boltzmann laws take the plain max over the dense c-grid:
+    the normal maximand c a |s| peaks at c = 2, and the Boltzmann grid max
+    reads r low by what falls between grid points.  Other models take
+    _r_profile_continuous, the dense grid refined by the bracketed maximiser
+    next to the best grid point; the maximand need not be concave.
     """
     if not 0.0 <= u <= 1.0:
         raise ValueError("u must lie in [0, 1]")
-    _check_inputs(a=a, beta=beta, c_steps=c_steps)
-    return float(_r_profile_continuous(model, np.array([u]), a, beta, c_steps)[0])
+    _check_inputs(a=a, beta=beta, c_steps=c_steps, model=model)
+    if isinstance(model, (NormalModel, BoltzmannModel)):
+        return float(_maximand(model.quantile, u, np.linspace(1.0, 2.0, c_steps), a, beta).max())
+    return float(_r_profile_continuous(model, np.array([u]), np.array([[a]]), beta, c_steps)[0, 0])
 
 
 def _boltzmann_pieces(
@@ -454,23 +455,19 @@ def _boltzmann_pieces(
     levels, rank = np.unique(np.concatenate([inner.ravel(), (0.0, 1.0)]), return_inverse=True)
     lengths = np.diff(levels)
     n = lengths.size
-    # row j's quantile index on piece i is #{k : cdf[j, k] < mids[i]} (the
-    # last level is 1 and never counts); rows are nondecreasing, so over the
-    # sorted mids support index k fills the run ends[j, k] <= i < ends[j, k+1],
-    # where ends[j, k+1] counts the mids at or below cdf[j, k] = levels[m],
-    # m = rank[j, k]: mids[i] lies in [levels[i], levels[i+1]], so that is
-    # m, plus one where mids[m] rounds down onto levels[m] (the sentinel
-    # past the last mid keeps the level m = n at n)
-    mids = np.append(0.5 * (levels[1:] + levels[:-1]), np.inf)
-    rank = rank[:-2].reshape(inner.shape)
+    # row j's quantile index on piece i, the u in (levels[i], levels[i+1]],
+    # is the sampler's #{k : cdf[j, k] < u} = #{k : rank[j, k] <= i} (the
+    # last level is 1 and never counts), and at u = 0 that of piece 0; rows
+    # are nondecreasing, so support index k fills the run
+    # ends[j, k] <= i < ends[j, k+1] with ends[j, k+1] = rank[j, k]
     ends = np.full((c_steps, support.size + 1), n)
     ends[:, 0] = 0
-    np.add(rank, mids[rank] <= levels[rank], out=ends[:, 1:-1])
+    ends[:, 1:-1] = rank[:-2].reshape(inner.shape)
     run = ends[:, 1:] > ends[:, :-1]
     start, stop = ends[:, :-1][run], ends[:, 1:][run]
     vals = np.abs(1.0 - (c[:, None] * a) * support)[run]
     # only the runs are needed from here on
-    del inner, levels, rank, mids, ends, run
+    del inner, levels, rank, ends, run
     # frexp's exponent of an integer L is floor(log2 L) + 1
     level = np.frexp(stop - start)[1] - 1
     # the runs grouped by level: a stable sort of 8-bit keys is a radix sort
@@ -586,7 +583,7 @@ def E_func(
     and other models use a quadrature.  Boltzmann values are exact in u
     only: their max over c is taken on the c_steps grid.
     """
-    _check_inputs(a=a, beta=beta, c_steps=c_steps, gl_nodes=gl_nodes)
+    _check_inputs(a=a, beta=beta, c_steps=c_steps, gl_nodes=gl_nodes, model=model)
     return float(_E_grid(model, np.array([a]), beta, c_steps, gl_nodes)[0][0])
 
 
@@ -627,7 +624,7 @@ def E_max(
     the grid cells next to the best coefficient; a negative value certifies
     convergence for every grid coefficient.
     """
-    _check_inputs(beta=beta, a_steps=a_steps, c_steps=c_steps, gl_nodes=gl_nodes)
+    _check_inputs(beta=beta, a_steps=a_steps, c_steps=c_steps, gl_nodes=gl_nodes, model=model)
     return _E_max_flag(model, beta, a_steps, c_steps, gl_nodes)[0]
 
 
@@ -662,8 +659,6 @@ def rate_curve(
     if not models:
         raise ValueError("model list is empty")
     betas = sorted({float(b) for b in betas})
-    for beta in betas:
-        _check_inputs(beta=beta, a_steps=a_steps, c_steps=c_steps, gl_nodes=gl_nodes)
 
     by_id: dict = {}
     for model in models:
@@ -672,6 +667,8 @@ def rate_curve(
         if by_id.setdefault(mid, model) != model:
             raise ValueError(f"two different models share the id {mid!r}")
     cells = [(mid, by_id[mid], beta) for mid in sorted(by_id) for beta in betas]
+    for _, model, beta in cells:
+        _check_inputs(beta=beta, a_steps=a_steps, c_steps=c_steps, gl_nodes=gl_nodes, model=model)
 
     def work(cell) -> RatePoint:
         mid, model, beta = cell

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dist import boltzmann_cdf_rows, std_normal_quantile, trunc_normal_quantile_arrays
+from .dist import _SQRT2, boltzmann_cdf_rows, std_normal_quantile, trunc_normal_quantile_arrays
 from .encoding import BitRange, SupportKind, SupportSpec, enumerate_support
 
 # clamp for uniform variates fed to the unbounded normal quantile
@@ -218,6 +218,27 @@ def check_finite_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+def check_scale(model, a: float, beta: float) -> None:
+    """Raise ValueError where a normal or truncated-normal law's scale overflows.
+
+    The normal kernel scales its draws by sigma = 1/(sqrt(2) a beta), the
+    truncated-normal kernel by sigma sqrt(2) = 1/(a beta); past the float
+    range that is inf, and inf * 0 makes a NaN draw (at a = 1/2, below beta
+    of about 1.1e-308).  Other laws pass: a Boltzmann law's beta^2
+    underflows to the uniform law, which is its beta -> 0 limit.
+    """
+    if not isinstance(model, (NormalModel, TruncNormalModel)):
+        return
+    x = _SQRT2 * a * beta
+    sigma = 1.0 / x if x else math.inf
+    if isinstance(model, NormalModel):
+        name, scale = "sigma = 1/(sqrt(2)*a*beta)", sigma
+    else:
+        name, scale = "sigma*sqrt(2) = 1/(a*beta)", sigma * _SQRT2
+    if scale == math.inf:
+        raise ValueError(f"beta={beta!r} is too small: the law's scale {name} overflows at a={a!r}")
+
+
 def _boltzmann_q(support: np.ndarray, u, c, a: float, beta: float):
     u_b, c_b = np.broadcast_arrays(np.asarray(u, float), np.asarray(c, float))
     shape = u_b.shape
@@ -243,8 +264,8 @@ def q_value(model: CorrectionModel, u, c, a: float, beta: float):
     of the normalized residual (inside the solver loop c is in [1, 2); the
     rate analysis also evaluates the closed endpoint c = 2 and the first
     iterate of the literal zero-exponent convention may fall outside).
-    NaN u or c, and a or beta that is not finite and positive, raise
-    ValueError.
+    NaN u or c, a or beta that is not finite and positive, and a scale
+    that overflows (check_scale) raise ValueError.
     """
     u_arr = np.asarray(u, dtype=float)
     c_arr = np.asarray(c, dtype=float)
@@ -258,5 +279,6 @@ def q_value(model: CorrectionModel, u, c, a: float, beta: float):
 
     if not isinstance(model, CorrectionModel):
         raise TypeError(f"not a correction model: {model!r}")
+    check_scale(model, a, beta)
     out = model.quantile(u_arr, c_arr, a, beta)
     return float(out) if np.isscalar(u) and np.isscalar(c) else out

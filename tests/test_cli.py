@@ -555,6 +555,27 @@ def test_beta_past_the_float_range_prints_no_nan(capsys, argv):
         assert medians[-1] < medians[0] - 10.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["rate-curve", "--models", "a4", "--beta-min", "1e-308", "--beta-max", "1e-308",
+     "--beta-steps", "1"],
+    ["rate-curve", "--models", "a4", "--beta-min", "1e-308", "--beta-max", "1e-308",
+     "--beta-steps", "1", "--a-steps", "3", "--c-steps", "5", "--gl-nodes", "8"],
+    ["mc", "--model", "a2", "--beta", "1e-308", "--n-traj", "10", "--n-iter", "3"],
+    ["solve", "--model", "a1", "--a", "0.5", "--b", "0.7", "--beta", "1e-308",
+     "--max-iter", "3"],
+])
+def test_law_whose_scale_overflows_exits_1(capsys, argv):
+    # sigma*sqrt(2) = 1/(a*beta) passes the float range at a = 1/2, where
+    # the kernel's draws would be inf * 0 = NaN
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("annealsolve: error: ")
+    assert "beta=1e-308 is too small: the law's scale sigma*sqrt(2) = 1/(a*beta)" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_solve_whose_every_energy_overflows_exits_1(capsys):
     # the first target 1/c is 5e199: the Boltzmann law has no finite energy
     with warnings.catch_warnings():

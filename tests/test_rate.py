@@ -95,16 +95,17 @@ def test_r_boltzmann_uses_grid_only():
 
 
 def boltzmann_pieces_row_search(model, a, beta, c_steps):
-    """Reference: one searchsorted of every piece midpoint per c-row."""
+    """Reference: one searchsorted of every piece's left level per c-row."""
     support = model.support()
     c = np.linspace(1.0, 2.0, c_steps)
     cdf = boltzmann_cdf_rows(support, 1.0 / c, a, beta)
     levels = np.unique(np.concatenate([cdf[:, :-1].ravel(), (0.0, 1.0)]))
     levels = levels[(levels >= 0.0) & (levels <= 1.0)]
-    mids = 0.5 * (levels[1:] + levels[:-1])
-    r = np.zeros(mids.size)
+    # on piece (levels[i], levels[i+1]] the sampler's index #{k : cdf < u}
+    # counts the entries at or below levels[i]
+    r = np.zeros(levels.size - 1)
     for j in range(c_steps):
-        idx = np.minimum(np.searchsorted(cdf[j], mids, side="left"), support.size - 1)
+        idx = np.minimum(np.searchsorted(cdf[j], levels[:-1], side="right"), support.size - 1)
         np.maximum(r, np.abs(1.0 - (c[j] * a) * support[idx]), out=r)
     return np.diff(levels), r
 
@@ -112,8 +113,8 @@ def boltzmann_pieces_row_search(model, a, beta, c_steps):
 @pytest.mark.parametrize("kind", [SupportKind.POSITIVE, SupportKind.SIGNED_SYMMETRIC])
 @pytest.mark.parametrize("r", [0, -2, -5])
 def test_E_boltzmann_staircase_matches_row_search(kind, r):
-    # at beta = 40 some midpoints tie with a CDF level (adjacent floats), so
-    # the r comparison also checks the tie rule of the staircase
+    # at beta = 40 some pieces are one ulp long (adjacent CDF levels), so
+    # the r comparison also checks that each piece starts past its left level
     model = BoltzmannModel(kind, BitRange(r, 1))
     for beta in (0.05, 2.0, 40.0):
         for c_steps in (1, 2, 17, 257):
@@ -142,12 +143,45 @@ def assert_pieces_match_row_search(model, a, beta, c_steps):
     kind=st.sampled_from([SupportKind.POSITIVE, SupportKind.SIGNED_SYMMETRIC]),
     r=st.integers(-6, 0),
     a=st.floats(0.5, 1.0),
-    # 40 is where piece midpoints tie with CDF levels (adjacent floats)
+    # 40 is where some pieces are one ulp long (adjacent CDF levels)
     beta=st.one_of(st.just(40.0), st.floats(-2.0, 4.0).map(lambda x: 10.0**x)),
     c_steps=st.integers(1, 300),
 )
 def test_boltzmann_pieces_match_row_search_property(kind, r, a, beta, c_steps):
     assert_pieces_match_row_search(BoltzmannModel(kind, BitRange(r, 1)), a, beta, c_steps)
+
+
+# q_value draws on every piece at every grid c cost about (c_steps K)^2
+# kernel cells for K support points, so each register takes the grids with
+# c_steps K <= 2^12
+_DRAW_CASES = [
+    (kind, r, c_steps)
+    for kind in (SupportKind.POSITIVE, SupportKind.SIGNED_SYMMETRIC)
+    for r in (0, -3, -6)
+    for c_steps in (2, 17, 129, 257)
+    if c_steps * BoltzmannModel(kind, BitRange(r, 1)).support().size <= 2**12
+]
+
+
+@pytest.mark.parametrize("kind, r, c_steps", _DRAW_CASES)
+def test_boltzmann_pieces_match_the_draws_on_every_piece(kind, r, c_steps):
+    # every u of piece (levels[i], levels[i+1]] draws the sampler's index at
+    # the right level, and u = 0 draws piece 0's.  The pieces one ulp long
+    # (here at beta >= 10) check the rule at a piece's ends: for the
+    # positive r=-3 register at a = 1, beta = 10 and c_steps = 2, piece 11
+    # is 2.8e-17 long and its draws give r = 0.125, not 0.25
+    model = BoltzmannModel(kind, BitRange(r, 1))
+    c = np.linspace(1.0, 2.0, c_steps)
+    for beta in (0.05, 2.0, 10.0, 40.0, 60.0, 1e3):
+        for a in (0.5, 0.7, 0.8125, 1.0):
+            inner = boltzmann_cdf_rows(model.support(), 1.0 / c, a, beta)[:, :-1]
+            levels = np.unique(np.concatenate([inner.ravel(), (0.0, 1.0)]))
+            u = np.append(levels[1:], 0.0)
+            q = q_value(model, u[:, None], c, a, beta)
+            drawn = np.abs(1.0 - (c * a) * q).max(axis=1)
+            lengths, got = _boltzmann_pieces(model, a, beta, c_steps)
+            np.testing.assert_array_equal(lengths, np.diff(levels))
+            np.testing.assert_array_equal(np.append(got, got[0]), drawn)
 
 
 def cdf_run_features(model, a, beta, c_steps):
@@ -272,16 +306,16 @@ def r_profile_q_value(model, u, a, beta, c_steps):
 
 
 def test_normal_profile_equals_refined_profile():
-    # the normal profile skips the refinement in c; on the nodes every
-    # E evaluation uses (the full rule and the halves of a dip split) the
-    # refined reference finds nothing above the grid maximum
+    # r_func takes the normal law's grid maximum without refinement in c;
+    # on the nodes every E evaluation uses (the full rule and the halves of
+    # a dip split) the refined reference finds nothing above it
     model = NormalModel()
     full, half = _gl_rule(256)[0], _gl_rule(128)[0]
     u = np.concatenate([full, 0.5 * half, 0.5 + 0.5 * half, 0.37 * half])
     for beta in (0.05, 0.5, 2.0, 7.0, 40.0):
         for a in (0.5, 0.77, 1.0):
             for c_steps in (3, 17, 257):
-                got = _r_profile_continuous(model, u, a, beta, c_steps)
+                got = [r_func(model, x, a, beta, c_steps) for x in u]
                 np.testing.assert_array_equal(got, r_profile_q_value(model, u, a, beta, c_steps))
 
 
@@ -395,6 +429,30 @@ def test_E_validation():
 def test_rate_inputs_outside_contract_raise(call):
     with pytest.raises(ValueError, match="finite and positive|must be at least"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: r_func(preset("a4"), 0.5, 0.5, 1e-308),
+    lambda: r_func(NormalModel(), 0.5, 0.5, 1e-309),
+    lambda: E_func(preset("a1"), 0.5, 1e-308),
+    # the a-grid starts at 1/2, where the scale 1/(a beta) is largest
+    lambda: E_max(preset("a4"), 1e-308, a_steps=3, c_steps=5, gl_nodes=8),
+    lambda: rate_curve([POS21, preset("a4")], [1.0, 1e-308], a_steps=3, c_steps=5, gl_nodes=8),
+])
+def test_rate_refuses_a_law_whose_scale_overflows(call):
+    with pytest.raises(ValueError, match="is too small: the law's scale"):
+        call()
+
+
+def test_rate_keeps_the_laws_whose_scale_is_not_read():
+    # a Boltzmann law's beta^2 underflows to the uniform law, the normal
+    # E is its closed form, and a = 1 halves the truncated normal's scale
+    closed = -(math.log(1e-308) + np.euler_gamma / 2.0)
+    assert E_max(NormalModel(), 1e-308) == closed
+    assert E_func(NormalModel(), 0.5, 1e-309) == -(math.log(1e-309) + np.euler_gamma / 2.0)
+    assert math.isfinite(E_max(POS21, 1e-308, a_steps=3, c_steps=5))
+    assert math.isfinite(E_func(preset("a4"), 1.0, 1e-308))
+    assert r_func(POS21, 0.5, 0.5, 1e-308) == r_func(POS21, 0.5, 0.5, 1e-300)
 
 
 @pytest.mark.parametrize("u", [math.nan, -0.1, 1.5])
@@ -759,14 +817,10 @@ def _profile_and_brackets(model, u, a, beta, c_steps, refine):
 
 
 def _profiles_equal(model, u, a, beta, c_steps):
-    # the model's own quantile as a plain callable keeps every grid cell;
-    # the normal model is never refined, so its oracle is the grid pass
-    oracle_refine = not isinstance(model, NormalModel)
+    # the model's own quantile as a plain callable keeps every grid cell
     for refine in (True, False):
         got = _profile_and_brackets(model, u, a, beta, c_steps, refine)
-        want = _profile_and_brackets(
-            model.quantile, u, a, beta, c_steps, refine and oracle_refine
-        )
+        want = _profile_and_brackets(model.quantile, u, a, beta, c_steps, refine)
         np.testing.assert_array_equal(got[0], want[0])
         assert len(got[1]) == len(want[1])
         for got_arrays, want_arrays in zip(got[1], want[1]):

@@ -172,6 +172,21 @@ def test_boltzmann_broadcast_matches_per_c_dists(beta):
         assert got[i].tolist() == [quantile(d, float(u)) for u in us]
 
 
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="at u = 1 the kernel counts the computed CDF entries below 1, which reach 1.0 "
+    "before the last point with mass; the reference law jumps to that point",
+)
+def test_boltzmann_kernel_matches_its_reference_law_at_u_1():
+    # the top point 1.875 has mass 3.8e-19, below the CDF's last ulp; at
+    # u = 1 - 2^-53 both give 1.75
+    model = parse_model_spec("boltzmann:positive:r=-3:p=1")
+    d = boltzmann_dist(10.0, model.support(), 1.0 / 1.5, 0.7)
+    assert 0.0 < d.pmf[-1] < 1e-18
+    assert q_value(model, 1.0 - 2.0**-53, 1.5, 0.7, 10.0) == quantile(d, 1.0 - 2.0**-53)
+    assert q_value(model, 1.0, 1.5, 0.7, 10.0) == quantile(d, 1.0)
+
+
 def test_stratified_uniforms_reproduce_exact_pmf():
     n = 4096
     us = (np.arange(n) + 0.5) / n
@@ -329,3 +344,46 @@ def test_a4_deep_tail_monotone_in_u():
 def test_q_value_rejects_scales_outside_contract(model, a, beta):
     with pytest.raises(ValueError, match="must be finite and positive"):
         q_value(model, 0.5, 1.5, a, beta)
+
+
+def _smallest_beta_accepted(model, a):
+    """The smallest float beta at which q_value draws through model at a."""
+    def accepted(bits):
+        try:
+            q_value(model, 0.5, 1.5, a, float(np.int64(bits).view(np.float64)))
+        except ValueError:
+            return False
+        return True
+
+    # positive floats order as their bit patterns
+    lo, hi = np.float64(5e-324).view(np.int64), np.float64(1.0).view(np.int64)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if accepted(mid) else (mid, hi)
+    return float(np.int64(hi).view(np.float64))
+
+
+@pytest.mark.parametrize("model", [NormalModel(), preset("a1"), preset("a4")], ids=model_id)
+@pytest.mark.parametrize("a", [0.5, 0.77, 1.0])
+def test_q_value_refuses_exactly_the_scales_that_overflow(model, a):
+    # the kernels scale by sigma = 1/(sqrt(2) a beta), the truncated normal
+    # by sigma sqrt(2); the check refuses the betas where that is inf
+    beta = _smallest_beta_accepted(model, a)
+    below = float(np.nextafter(beta, 0.0))
+    with np.errstate(over="ignore", divide="ignore"):
+        sigma = 1.0 / (np.sqrt(2.0) * a * np.array([beta, below]))
+        scale = sigma if isinstance(model, NormalModel) else sigma * np.sqrt(2.0)
+    assert np.isfinite(scale[0]) and scale[1] == np.inf
+    assert 1e-309 < beta < 1e-307
+    with pytest.raises(ValueError, match=r"beta=.* is too small: the law's scale .* overflows"):
+        q_value(model, 0.5, 1.5, a, below)
+    if isinstance(model, TruncNormalModel):
+        # at the edge the draws are finite, with no warning
+        q = q_value(model, np.linspace(0.0, 1.0, 11), np.array([[1.0], [2.0]]), a, beta)
+        assert np.all((model.d1 <= q) & (q <= model.d2))
+
+
+def test_boltzmann_law_at_a_beta_whose_square_underflows_is_uniform():
+    # beta^2 underflows to 0: every weight is exp(0), the beta -> 0 limit
+    q = q_value(POS21, (np.arange(8) + 0.5) / 8, 1.5, 0.5, 1e-308)
+    assert q.tolist() == POS21.support().tolist()
