@@ -1,5 +1,5 @@
 """Probability kernels: the models' quantile kernels, the truncated normal's CDF
-and the Boltzmann reference law.
+and the Boltzmann reference law, which shares the sampler's CDF and index rule.
 
 The Boltzmann law over a finite support puts mass proportional to
 ``exp(-beta^2 * H(v))`` on each support value ``v`` -- note the *squared*
@@ -78,8 +78,8 @@ def boltzmann_dist(beta: float, support, target: float, a: float) -> DiscreteDis
     """Boltzmann law with energy H(v) = (a*v - target)^2 on a finite support.
 
     The weights, with their overflow and beta -> inf rules, come from
-    ``_boltzmann_weights``, the weight step ``boltzmann_cdf_rows`` shares.
-    Every check is written as not-inside, so that NaN fails it too.
+    ``_boltzmann_weights``, and cdf is the target's ``boltzmann_cdf_rows`` row,
+    the sampler's.  Every check is written as not-inside, so that NaN fails it too.
     """
     support = np.asarray(support, dtype=float)
     if support.ndim != 1 or support.size == 0:
@@ -95,10 +95,7 @@ def boltzmann_dist(beta: float, support, target: float, a: float) -> DiscreteDis
     if not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
     w = _boltzmann_weights(support, (target,), a, beta)[:, 0]
-    pmf = w / w.sum()
-    cdf = np.cumsum(pmf)
-    cdf[-1] = 1.0  # cumsum is within 1e-12 of 1; pin so u=1 queries are exact
-    return DiscreteDist(support=support, pmf=pmf, cdf=cdf)
+    return DiscreteDist(support, w / w.sum(), boltzmann_cdf_rows(support, (target,), a, beta)[0])
 
 
 def boltzmann_cdf_rows(support, targets, a: float, beta: float) -> np.ndarray:
@@ -128,25 +125,27 @@ def boltzmann_cdf_rows(support, targets, a: float, beta: float) -> np.ndarray:
     return h.T
 
 
+def _quantile_index(cdf: np.ndarray, u) -> np.ndarray:
+    """The Boltzmann index rule: #{k : cdf[k] < u}, the first index whose entry reaches u.
+
+    cdf is support-major and u broadcasts against its other axes.  CDF entries
+    are +0.0 or at least the smallest subnormal, so at u = 0 the count of
+    cdf < 5e-324 is that of cdf <= 0: the first index with positive mass.
+    """
+    return (cdf < np.maximum(u, 5e-324)).sum(axis=0)
+
+
 def quantile(dist: DiscreteDist, u):
     """Generalized inverse CDF: the smallest support value with cdf >= u.
 
-    At u=0 returns the smallest support value carrying positive mass (the
-    right limit of the inverse), at u=1 the largest such value.
+    The index is ``_quantile_index``'s, the sampler's rule; at u = 1 it stops at the
+    first entry computed as 1.0, before any last point of mass below the CDF's ulp.
     """
     u_arr = np.asarray(u, dtype=float)
     # written as not-all-inside so that NaN fails the test too
     if not np.all((u_arr >= 0.0) & (u_arr <= 1.0)):
         raise ValueError("u must lie in [0, 1]")
-    idx = np.searchsorted(dist.cdf, u_arr, side="left")
-    idx = np.minimum(idx, dist.support.size - 1)
-    positive = dist.pmf > 0.0
-    if np.any(u_arr == 0.0):
-        idx = np.where(u_arr == 0.0, int(np.argmax(positive)), idx)
-    if np.any(u_arr == 1.0):
-        last_pos = dist.pmf.size - 1 - int(np.argmax(positive[::-1]))
-        idx = np.where(u_arr == 1.0, last_pos, idx)
-    values = dist.support[idx]
+    values = dist.support[_quantile_index(dist.cdf[:, None], u_arr.ravel()).reshape(u_arr.shape)]
     return float(values) if np.isscalar(u) else values
 
 

@@ -29,11 +29,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dist import _SQRT2, boltzmann_cdf_rows, std_normal_quantile, trunc_normal_quantile_arrays
+from .dist import _SQRT2, _quantile_index, boltzmann_cdf_rows
+from .dist import std_normal_quantile, trunc_normal_quantile_arrays
 from .encoding import BitRange, SupportKind, SupportSpec, enumerate_support
 
 # clamp for uniform variates fed to the unbounded normal quantile
 _U_CLIP = 1e-15
+_NDTRI_MAX = float(np.abs(std_normal_quantile(np.array([_U_CLIP, 1.0 - _U_CLIP]))).max())
 
 # cells per (support x draws) CDF tile.  Boltzmann mc_convergence at
 # 50 000 x 40 (15- and 16-point supports, 2-core Xeon, 2 MB L2 per core)
@@ -221,18 +223,18 @@ def check_finite_positive(name: str, value: float) -> None:
 def check_scale(model, a: float, beta: float) -> None:
     """Raise ValueError where a normal or truncated-normal law's scale overflows.
 
-    The normal kernel scales its draws by sigma = 1/(sqrt(2) a beta), the
-    truncated-normal kernel by sigma sqrt(2) = 1/(a beta); past the float
-    range that is inf, and inf * 0 makes a NaN draw (at a = 1/2, below beta
-    of about 1.1e-308).  Other laws pass: a Boltzmann law's beta^2
-    underflows to the uniform law, which is its beta -> 0 limit.
+    The normal kernel's widest draw is sigma = 1/(sqrt(2) a beta) times
+    _NDTRI_MAX = max |Phi^-1(u)| over the clipped u, the truncated normal's
+    scale sigma sqrt(2); past the float range they are +-inf (at a = 1/2,
+    below beta of about 6.25e-308) and inf * 0 = NaN (below about 1.1e-308).
+    Boltzmann laws pass: their beta^2 underflows to the uniform law.
     """
     if not isinstance(model, (NormalModel, TruncNormalModel)):
         return
     x = _SQRT2 * a * beta
     sigma = 1.0 / x if x else math.inf
     if isinstance(model, NormalModel):
-        name, scale = "sigma = 1/(sqrt(2)*a*beta)", sigma
+        name, scale = "sigma*7.9414 = 7.9414/(sqrt(2)*a*beta)", sigma * _NDTRI_MAX
     else:
         name, scale = "sigma*sqrt(2) = 1/(a*beta)", sigma * _SQRT2
     if scale == math.inf:
@@ -240,21 +242,16 @@ def check_scale(model, a: float, beta: float) -> None:
 
 
 def _boltzmann_q(support: np.ndarray, u, c, a: float, beta: float):
+    """The reference law's ``quantile`` at (u, 1/c), bit for bit, in _MAX_CELLS tiles."""
     u_b, c_b = np.broadcast_arrays(np.asarray(u, float), np.asarray(c, float))
-    shape = u_b.shape
-    u_flat = u_b.ravel()
-    c_flat = c_b.ravel()
-    n, k = u_flat.size, support.size
-    idx = np.empty(n, dtype=np.intp)
-    chunk = max(1, _MAX_CELLS // max(k, 1))
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
-        # support-major (support, draws) tile: the counts reduce over rows
+    u_flat, c_flat = u_b.ravel(), c_b.ravel()
+    idx = np.empty(u_flat.size, dtype=np.intp)
+    chunk = max(1, _MAX_CELLS // support.size)
+    for start in range(0, u_flat.size, chunk):
+        sl = slice(start, start + chunk)
         cdf = boltzmann_cdf_rows(support, 1.0 / c_flat[sl], a, beta).T
-        # u=0 means the smallest value carrying positive mass: CDF entries are
-        # +0.0 or at least the smallest subnormal, so cdf < 5e-324 is cdf <= 0
-        idx[sl] = (cdf < np.maximum(u_flat[sl], 5e-324)).sum(axis=0)
-    return support[idx].reshape(shape)
+        idx[sl] = _quantile_index(cdf, u_flat[sl])
+    return support[idx].reshape(u_b.shape)
 
 
 def q_value(model: CorrectionModel, u, c, a: float, beta: float):

@@ -1,0 +1,127 @@
+"""Write tests/data/identity.json, the identity ledger of the package's outputs.
+
+The ledger holds three SHA-256 hashes, each over outputs that a change meant
+to keep every value must leave bit-identical:
+
+* ``e_max``: ``float(E_max(model, beta)).hex()`` over the benchmark's rate
+  models x betas, model-major, concatenated;
+* ``mc_summary``: every ``McSummary`` field of the benchmark's first
+  seed-0 ``mc_ensemble`` inputs;
+* ``boltzmann_draws``: ``q_value`` draws of the benchmark's Boltzmann
+  registers on a fixed (u, c) grid, u = 0 and u = 1 included, at betas up
+  to 1e300.
+
+The ledger records each hash's inputs and the numpy and scipy versions it
+was made with, so ``tests/test_identity.py`` recomputes the hashes without
+importing the benchmark.  Run from the repository root:
+
+    PYTHONPATH=src python tests/make_identity.py
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import enum
+import hashlib
+import itertools
+import json
+import os
+import sys
+
+import numpy as np
+import scipy
+
+import annealsolve as ans
+from annealsolve.sampler import parse_model_spec
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+LEDGER = os.path.join(HERE, "data", "identity.json")
+
+MC_OPS = 10
+DRAW_U = [0.0, 1e-300, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0 - 2.0**-53, 1.0]
+DRAW_C = [1.0, 1.25, 1.5, 1.75, 2.0]
+DRAW_A = [0.5, 0.7, 1.0]
+DRAW_BETAS = [0.05, 0.5, 2.0, 10.0, 60.0, 1e3, 1e154, 1e300]
+
+
+def _text(value) -> str:
+    """Exact text of one output: floats as hex, arrays element by element."""
+    if isinstance(value, np.ndarray):
+        return ",".join(float(v).hex() for v in value.ravel())
+    if isinstance(value, enum.Enum):
+        return value.name
+    if isinstance(value, float):
+        return value.hex()
+    return repr(value)
+
+
+def e_max_hash(models, betas) -> str:
+    sha = hashlib.sha256()
+    for spec, beta in itertools.product(models, betas):
+        sha.update(float(ans.E_max(parse_model_spec(spec), beta)).hex().encode())
+    return sha.hexdigest()
+
+
+def mc_summary_hash(inputs, n_traj: int, n_iter: int) -> str:
+    sha = hashlib.sha256()
+    for spec, a, b, beta, seed in inputs:
+        summary = ans.mc_convergence(
+            parse_model_spec(spec), a, b, beta, n_traj=n_traj, n_iter=n_iter, seed=seed
+        )
+        for field in dataclasses.fields(summary):
+            sha.update(f"{field.name}={_text(getattr(summary, field.name))};".encode())
+    return sha.hexdigest()
+
+
+def draws_hash(models, u, c, a_values, betas) -> str:
+    sha = hashlib.sha256()
+    u_row, c_col = np.array(u)[None, :], np.array(c)[:, None]
+    for spec, a, beta in itertools.product(models, a_values, betas):
+        sha.update(_text(ans.q_value(parse_model_spec(spec), u_row, c_col, a, beta)).encode())
+    return sha.hexdigest()
+
+
+def versions() -> dict:
+    return {"numpy": np.__version__, "scipy": scipy.__version__}
+
+
+def hashes(doc: dict) -> dict:
+    """The three hashes of a ledger's recorded inputs."""
+    e, mc, q = doc["e_max"], doc["mc_summary"], doc["boltzmann_draws"]
+    return {
+        "e_max": e_max_hash(e["models"], e["betas"]),
+        "mc_summary": mc_summary_hash(mc["inputs"], mc["n_traj"], mc["n_iter"]),
+        "boltzmann_draws": draws_hash(q["models"], q["u"], q["c"], q["a"], q["betas"]),
+    }
+
+
+def main() -> None:
+    sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+    import workloads as wl
+
+    registers = sorted(
+        {spec for spec in wl.RATE_MODELS + wl.MC_MODELS if spec.startswith("boltzmann")}
+        | {f"boltzmann:{kind}:r={r}:p=1" for kind, rs in wl.TRAJ_REGISTERS.items() for r in rs}
+    )
+    doc = {
+        "versions": versions(),
+        "e_max": {"models": list(wl.RATE_MODELS), "betas": list(wl.RATE_BETAS)},
+        "mc_summary": {
+            "inputs": [list(inp) for inp in itertools.islice(wl.mc_inputs(0), MC_OPS)],
+            "n_traj": wl.MC_N_TRAJ,
+            "n_iter": wl.MC_N_ITER,
+        },
+        "boltzmann_draws": {
+            "models": registers, "u": DRAW_U, "c": DRAW_C, "a": DRAW_A, "betas": DRAW_BETAS,
+        },
+    }
+    for name, digest in hashes(doc).items():
+        doc[name]["sha256"] = digest
+    os.makedirs(os.path.dirname(LEDGER), exist_ok=True)
+    with open(LEDGER, "w") as handle:
+        json.dump(doc, handle, indent=1)
+        handle.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -263,6 +263,23 @@ def test_python_m_annealsolve_runs_the_cli(capsys):
     assert proc.stdout == run_cli(capsys, *argv)[1]
 
 
+def test_truncated_normal_rate_curve_at_beta_1e308_warns_nothing():
+    # 1/(a*beta) is so small that the kernel's z terms pass the float range:
+    # their erf is the beta -> inf limit, in every worker thread, with no raw
+    # numpy warning, so the values are those at beta = 1e300
+    argv = ["rate-curve", "--models", "a1,a2,a3,a4", "--beta-min", "1e308", "--beta-max",
+            "1e308", "--beta-steps", "1", "--a-steps", "3", "--c-steps", "5", "--gl-nodes", "8"]
+    env = dict(os.environ, PYTHONPATH=str(Path(annealsolve.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "annealsolve",
+                           *argv], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    models = [TruncNormalModel(d1, d2) for d1, d2 in ((-2, 2), (0, 2), (0.5, 2), (0.5, 1))]
+    limit = annealsolve.rate_curve(models, [1e300], a_steps=3, c_steps=5, gl_nodes=8)
+    assert [float(row.split(",")[4]) for row in data_lines(proc.stdout)[1:]] == [
+        point.value for point in limit
+    ]
+
+
 def test_rate_curve_empty_models_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["rate-curve", "--models", ",", "--beta-min", "1", "--beta-max", "2",

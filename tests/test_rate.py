@@ -434,6 +434,8 @@ def test_rate_inputs_outside_contract_raise(call):
 @pytest.mark.parametrize("call", [
     lambda: r_func(preset("a4"), 0.5, 0.5, 1e-308),
     lambda: r_func(NormalModel(), 0.5, 0.5, 1e-309),
+    # sigma is finite, but sigma Phi^-1(u) is not
+    lambda: r_func(NormalModel(), 0.9, 0.5, 1e-308),
     lambda: E_func(preset("a1"), 0.5, 1e-308),
     # the a-grid starts at 1/2, where the scale 1/(a beta) is largest
     lambda: E_max(preset("a4"), 1e-308, a_steps=3, c_steps=5, gl_nodes=8),

@@ -159,32 +159,31 @@ def test_a4_contraction_bound():
                 assert np.all(np.abs(1.0 - c * a * q) <= 1.0 + 1e-12)
 
 
-@pytest.mark.parametrize("beta", [1.2, 60.0])
+@pytest.mark.parametrize("beta", [1.2, 60.0, 1e300])
 def test_boltzmann_broadcast_matches_per_c_dists(beta):
     # at beta = 60 the leading support points carry zero mass, so u = 0 must
-    # skip them to the smallest value with positive mass
-    us = np.array([0.0, 0.1, 0.5, 0.9])
+    # skip them to the smallest value with positive mass; at beta = 1e300
+    # beta^2 overflows and the law is its beta -> inf limit
+    us = np.array([0.0, 0.1, 0.5, 0.9, 1.0])
     cs = np.array([1.0, 1.5, 2.0])
     got = q_value(POS21, us[None, :], cs[:, None], 0.7, beta)
     for i, c in enumerate(cs):
         d = boltzmann_dist(beta, POS21.support(), 1.0 / c, 0.7)
         assert (d.pmf[0] == 0.0) == (beta > 2.0)
         assert got[i].tolist() == [quantile(d, float(u)) for u in us]
+        # each CDF entry as a u sits on a step of the law
+        at_steps = np.concatenate((us, d.cdf))
+        assert q_value(POS21, at_steps, c, 0.7, beta).tolist() == quantile(d, at_steps).tolist()
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="at u = 1 the kernel counts the computed CDF entries below 1, which reach 1.0 "
-    "before the last point with mass; the reference law jumps to that point",
-)
 def test_boltzmann_kernel_matches_its_reference_law_at_u_1():
-    # the top point 1.875 has mass 3.8e-19, below the CDF's last ulp; at
-    # u = 1 - 2^-53 both give 1.75
+    # the top point 1.875 has mass 3.8e-19, below the CDF's last ulp: both
+    # laws read the one CDF, which reaches 1.0 at 1.75, by the one index rule
     model = parse_model_spec("boltzmann:positive:r=-3:p=1")
     d = boltzmann_dist(10.0, model.support(), 1.0 / 1.5, 0.7)
     assert 0.0 < d.pmf[-1] < 1e-18
     assert q_value(model, 1.0 - 2.0**-53, 1.5, 0.7, 10.0) == quantile(d, 1.0 - 2.0**-53)
-    assert q_value(model, 1.0, 1.5, 0.7, 10.0) == quantile(d, 1.0)
+    assert q_value(model, 1.0, 1.5, 0.7, 10.0) == quantile(d, 1.0) == 1.75
 
 
 def test_stratified_uniforms_reproduce_exact_pmf():
@@ -267,10 +266,13 @@ def test_boltzmann_tiles_match_row_major_oracle(model):
             got = sampler._boltzmann_q(support, u, c, 0.73, beta)
             np.testing.assert_array_equal(got, boltzmann_q_row_major(support, u, c, 0.73, beta))
             if n <= tile + 1:
+                rows = boltzmann_cdf_rows(support, 1.0 / c, 0.73, beta)
                 np.testing.assert_array_equal(
-                    boltzmann_cdf_rows(support, 1.0 / c, 0.73, beta),
-                    cdf_rows_row_major(support, 1.0 / c, 0.73, beta),
+                    rows, cdf_rows_row_major(support, 1.0 / c, 0.73, beta)
                 )
+                # the reference law's CDF is its target's row, bit for bit
+                d = boltzmann_dist(beta, support, 1.0 / c[-1], 0.73)
+                np.testing.assert_array_equal(d.cdf, rows[-1])
 
 
 @pytest.mark.parametrize("spec", [(SupportKind.SIGNED_SYMMETRIC, -2), (SupportKind.POSITIVE, -3)])
@@ -366,21 +368,35 @@ def _smallest_beta_accepted(model, a):
 @pytest.mark.parametrize("model", [NormalModel(), preset("a1"), preset("a4")], ids=model_id)
 @pytest.mark.parametrize("a", [0.5, 0.77, 1.0])
 def test_q_value_refuses_exactly_the_scales_that_overflow(model, a):
-    # the kernels scale by sigma = 1/(sqrt(2) a beta), the truncated normal
-    # by sigma sqrt(2); the check refuses the betas where that is inf
+    # the truncated-normal kernel scales by sigma sqrt(2), sigma = 1/(sqrt(2)
+    # a beta), and the check refuses the betas where that is inf; the
+    # normal kernel's widest draws, at the clipped u = 0 and u = 1, turn
+    # inf first, and the check refuses the betas where they do
     beta = _smallest_beta_accepted(model, a)
     below = float(np.nextafter(beta, 0.0))
+    us = np.linspace(0.0, 1.0, 11)
     with np.errstate(over="ignore", divide="ignore"):
-        sigma = 1.0 / (np.sqrt(2.0) * a * np.array([beta, below]))
-        scale = sigma if isinstance(model, NormalModel) else sigma * np.sqrt(2.0)
-    assert np.isfinite(scale[0]) and scale[1] == np.inf
+        if isinstance(model, NormalModel):
+            widest = [np.abs(model.quantile(us, 1.5, a, b)).max() for b in (beta, below)]
+            assert np.isfinite(widest[0]) and widest[1] == np.inf
+        else:
+            sigma = 1.0 / (np.sqrt(2.0) * a * np.array([beta, below]))
+            scale = sigma * np.sqrt(2.0)
+            assert np.isfinite(scale[0]) and scale[1] == np.inf
     assert 1e-309 < beta < 1e-307
     with pytest.raises(ValueError, match=r"beta=.* is too small: the law's scale .* overflows"):
         q_value(model, 0.5, 1.5, a, below)
+    # at the edge the draws are finite, with no warning
+    q = q_value(model, us, np.array([[1.0], [2.0]]), a, beta)
+    assert np.all(np.isfinite(q))
     if isinstance(model, TruncNormalModel):
-        # at the edge the draws are finite, with no warning
-        q = q_value(model, np.linspace(0.0, 1.0, 11), np.array([[1.0], [2.0]]), a, beta)
         assert np.all((model.d1 <= q) & (q <= model.d2))
+
+
+def test_q_value_refuses_the_normal_band_whose_draws_overflow():
+    # sigma = 1/(sqrt(2) a beta) is finite here, but sigma Phi^-1(0.9) is not
+    with pytest.raises(ValueError, match=r"beta=1e-308 is too small: the law's scale"):
+        q_value(NormalModel(), 0.9, 1.5, 0.5, 1e-308)
 
 
 def test_boltzmann_law_at_a_beta_whose_square_underflows_is_uniform():
