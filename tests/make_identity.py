@@ -1,6 +1,6 @@
 """Write tests/data/identity.json, the identity ledger of the package's outputs.
 
-The ledger holds three SHA-256 hashes, each over outputs that a change meant
+The ledger holds five SHA-256 hashes, each over outputs that a change meant
 to keep every value must leave bit-identical:
 
 * ``e_max``: ``float(E_max(model, beta)).hex()`` over the benchmark's rate
@@ -9,7 +9,13 @@ to keep every value must leave bit-identical:
   seed-0 ``mc_ensemble`` inputs;
 * ``boltzmann_draws``: ``q_value`` draws of the benchmark's Boltzmann
   registers on a fixed (u, c) grid, u = 0 and u = 1 included, at betas up
-  to 1e300.
+  to 1e300;
+* ``solve_traces``: the ``to_csv()`` text of ``solve`` and the
+  ``float.hex`` of ``replay_errors`` over the benchmark's first seed-0
+  ``trajectories`` inputs, each one ``float`` at a time through the scalar
+  path;
+* ``scalar_draws``: scalar ``q_value`` draws, one Python float (u, c) at a
+  time, of the normal and a1..a4 laws on the ``boltzmann_draws`` grid.
 
 The ledger records each hash's inputs and the numpy and scipy versions it
 was made with, so ``tests/test_identity.py`` recomputes the hashes without
@@ -38,6 +44,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 LEDGER = os.path.join(HERE, "data", "identity.json")
 
 MC_OPS = 10
+TRAJ_OPS = 70
 DRAW_U = [0.0, 1e-300, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0 - 2.0**-53, 1.0]
 DRAW_C = [1.0, 1.25, 1.5, 1.75, 2.0]
 DRAW_A = [0.5, 0.7, 1.0]
@@ -81,17 +88,39 @@ def draws_hash(models, u, c, a_values, betas) -> str:
     return sha.hexdigest()
 
 
+def solve_traces_hash(inputs, max_iter: int) -> str:
+    sha = hashlib.sha256()
+    for a0, b0, spec, beta, seed in inputs:
+        inst, model = ans.normalize(a0, b0), parse_model_spec(spec)
+        trace = ans.solve(inst, model, beta=beta, seed=seed, max_iter=max_iter)
+        sha.update(trace.to_csv().encode())
+        sha.update(_text(ans.replay_errors(inst, model, beta, trace.eta)).encode())
+    return sha.hexdigest()
+
+
+def scalar_draws_hash(models, u, c, a_values, betas) -> str:
+    sha = hashlib.sha256()
+    for spec, a, beta in itertools.product(models, a_values, betas):
+        model = parse_model_spec(spec)
+        for c_k, u_k in itertools.product(c, u):
+            sha.update(_text(ans.q_value(model, u_k, c_k, a, beta)).encode())
+    return sha.hexdigest()
+
+
 def versions() -> dict:
     return {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
 def hashes(doc: dict) -> dict:
-    """The three hashes of a ledger's recorded inputs."""
+    """The five hashes of a ledger's recorded inputs."""
     e, mc, q = doc["e_max"], doc["mc_summary"], doc["boltzmann_draws"]
+    tr, sq = doc["solve_traces"], doc["scalar_draws"]
     return {
         "e_max": e_max_hash(e["models"], e["betas"]),
         "mc_summary": mc_summary_hash(mc["inputs"], mc["n_traj"], mc["n_iter"]),
         "boltzmann_draws": draws_hash(q["models"], q["u"], q["c"], q["a"], q["betas"]),
+        "solve_traces": solve_traces_hash(tr["inputs"], tr["max_iter"]),
+        "scalar_draws": scalar_draws_hash(sq["models"], sq["u"], sq["c"], sq["a"], sq["betas"]),
     }
 
 
@@ -113,6 +142,19 @@ def main() -> None:
         },
         "boltzmann_draws": {
             "models": registers, "u": DRAW_U, "c": DRAW_C, "a": DRAW_A, "betas": DRAW_BETAS,
+        },
+        "solve_traces": {
+            "inputs": [
+                [a0, b0, spec, beta, seed]
+                for a0, b0, _, _, spec, beta, _, _, seed in itertools.islice(
+                    wl.traj_inputs(0), TRAJ_OPS
+                )
+            ],
+            "max_iter": wl.TRAJ_STEPS,
+        },
+        "scalar_draws": {
+            "models": ["normal", "a1", "a2", "a3", "a4"],
+            "u": DRAW_U, "c": DRAW_C, "a": DRAW_A, "betas": DRAW_BETAS,
         },
     }
     for name, digest in hashes(doc).items():

@@ -18,5 +18,7 @@ def test_identity_ledger_is_reproduced():
         doc = json.load(handle)
     if doc["versions"] != versions():
         pytest.skip(f"ledger made with {doc['versions']}, running {versions()}")
-    want = {name: doc[name]["sha256"] for name in ("e_max", "mc_summary", "boltzmann_draws")}
+    want = {name: doc[name]["sha256"] for name in (
+        "e_max", "mc_summary", "boltzmann_draws", "solve_traces", "scalar_draws"
+    )}
     assert hashes(doc) == want
