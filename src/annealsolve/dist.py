@@ -152,7 +152,9 @@ def quantile(dist: DiscreteDist, u):
 def std_normal_quantile(u):
     """Standard normal quantile Phi^{-1}(u) for u in (0, 1), by scipy's ndtri."""
     u_arr = np.asarray(u, dtype=float)
-    if not np.all((u_arr > 0.0) & (u_arr < 1.0)):
+    # written as inside, so that NaN fails it too; the reductions' initial
+    # values let an empty u pass
+    if not (u_arr.min(initial=0.5) > 0.0 and u_arr.max(initial=0.5) < 1.0):
         raise ValueError("u must lie strictly inside (0, 1)")
     out = sc.ndtri(u_arr)
     return float(out) if np.isscalar(u) else out
@@ -166,16 +168,20 @@ def trunc_normal_quantile_arrays(mu, sigma, d1: float, d2: float, u) -> np.ndarr
 
     The erfinv argument is clamped away from +-1, so quantiles saturate
     instead of diverging when an endpoint lies many sigmas into a tail; the
-    result is always inside [d1, d2].  Nothing is checked here:
-    ``TruncNormalModel`` owns the interval's contract, ``q_value`` that of u.
+    result is always inside [d1, d2].  Where sigma is so small (beta near
+    1e308) that z_k passes the float range, erf(+-inf) = +-1 is the
+    beta -> inf limit, so that overflow is no warning.  Nothing is checked
+    here: ``TruncNormalModel`` owns the interval's contract, ``q_value``
+    that of u.  Both clips call the ``clip`` method: np.clip's own ufunc
+    without np.clip's wrapper, which costs more than the clip on a scalar.
     """
     s2 = np.asarray(sigma, dtype=float) * _SQRT2
-    e1 = sc.erf((d1 - mu) / s2)
-    e2 = sc.erf((d2 - mu) / s2)
+    with np.errstate(over="ignore"):
+        e1 = sc.erf((d1 - mu) / s2)
+        e2 = sc.erf((d2 - mu) / s2)
     arg = (1.0 - u) * e1 + u * e2
-    arg = np.clip(arg, -ERFINV_ARG_MAX, ERFINV_ARG_MAX)
-    x = mu + s2 * sc.erfinv(arg)
-    return np.clip(x, d1, d2)
+    x = mu + s2 * sc.erfinv(arg.clip(-ERFINV_ARG_MAX, ERFINV_ARG_MAX))
+    return x.clip(d1, d2)
 
 
 def trunc_normal_cdf(x, mu: float, sigma: float, d1: float, d2: float) -> np.ndarray:

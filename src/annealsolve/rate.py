@@ -313,106 +313,103 @@ def _r_profile_continuous(
     neighbours, evaluating a neighbour that is not an end, from which
     _bracket_max refines the maximum over c inside the neighbouring grid
     cells, in chunks of nodes; refine=False keeps the grid pass alone.
-    It runs under errstate(over="ignore"), set per thread: at beta near 1e308
-    the kernel's z terms pass the float range; erf(+-inf) = +-1 is the beta -> inf limit.
     """
-    with np.errstate(over="ignore"):
-        q = getattr(model, "quantile", model)
-        c = np.linspace(1.0, 2.0, c_steps)
-        shape = np.broadcast_shapes(np.shape(a), np.shape(u))
-        u_rows = np.broadcast_to(u, shape).reshape(-1, shape[-1])
-        a_rows = np.reshape(a, (-1, 1, 1))
-        m, n = u_rows.shape
-        refine = refine and c_steps > 2
-        stride = _C_STRIDE if isinstance(model, (NormalModel, TruncNormalModel)) else 1
-        ends = np.append(np.arange(0, c_steps - 1, stride), c_steps - 1)
-        lo, hi = ends[:-1], ends[1:]
-        # the bound's factors per cell, the offsets of a cell's interior points
-        # (clipped into a short last cell), and each end's place among the ends
-        right, left = (c[hi - 1] / c[hi])[:, None], (c[hi - 1] / c[lo])[:, None]
-        wide = (hi - lo > 1)[:, None]
-        # ends alternate with the cells between them in a tile
-        width = 2 * ends.size - 1
-        inner = np.arange(1, min(stride, c_steps - 1))
-        place = np.full(c_steps, -1)
-        place[ends] = np.arange(ends.size)
+    q = getattr(model, "quantile", model)
+    c = np.linspace(1.0, 2.0, c_steps)
+    shape = np.broadcast_shapes(np.shape(a), np.shape(u))
+    u_rows = np.broadcast_to(u, shape).reshape(-1, shape[-1])
+    a_rows = np.reshape(a, (-1, 1, 1))
+    m, n = u_rows.shape
+    refine = refine and c_steps > 2
+    stride = _C_STRIDE if isinstance(model, (NormalModel, TruncNormalModel)) else 1
+    ends = np.append(np.arange(0, c_steps - 1, stride), c_steps - 1)
+    lo, hi = ends[:-1], ends[1:]
+    # the bound's factors per cell, the offsets of a cell's interior points
+    # (clipped into a short last cell), and each end's place among the ends
+    right, left = (c[hi - 1] / c[hi])[:, None], (c[hi - 1] / c[lo])[:, None]
+    wide = (hi - lo > 1)[:, None]
+    # ends alternate with the cells between them in a tile
+    width = 2 * ends.size - 1
+    inner = np.arange(1, min(stride, c_steps - 1))
+    place = np.full(c_steps, -1)
+    place[ends] = np.arange(ends.size)
 
-        def tile(u_t, a_t):
-            """(best grid index, its value and its neighbours' values) per node."""
-            at_ends = _residual(q, u_t[:, None, :], c[ends][:, None], a_t, beta)
-            # ends and cell interiors interleave in grid order, so argmax over
-            # the sequence still finds the first maximum; a skipped cell stays
-            # at -inf
-            seq = np.full((u_t.shape[0], width, u_t.shape[1]), -np.inf)
-            f = np.abs(at_ends, out=seq[:, 0::2])
-            bound = np.minimum(at_ends[:, 1:], 0.0)
-            bound *= -right
-            np.maximum(bound, left * np.maximum(at_ends[:, :-1], 0.0), out=bound)
-            del at_ends
-            end_max = f.max(axis=1, keepdims=True)
-            r_i, cell, n_i = np.nonzero(wide & (bound >= end_max * (1.0 - _PRUNE_REL) - _PRUNE_ABS))
-            del bound
-            # the offset of each kept cell's best interior point, at its left end
-            offset = np.zeros(f.shape, dtype=np.intp)
-            step = _FLAT_CHUNK // max(1, inner.size)
-            for t in range(0, r_i.size, step):
-                r_t, cell_t, n_t = r_i[t:t + step], cell[t:t + step], n_i[t:t + step]
-                at = np.minimum(lo[cell_t, None] + inner, hi[cell_t, None] - 1)
-                values = _maximand(q, u_t[r_t, n_t][:, None], c[at], a_t[r_t, 0], beta)
-                offset[r_t, cell_t, n_t] = np.argmax(values, axis=1)
-                seq[r_t, 2 * cell_t + 1, n_t] = values.max(axis=1)
-            p = np.argmax(seq, axis=1)[:, None]
-            top = np.take_along_axis(seq, p, axis=1)
-            k = ends[p // 2] + np.where(p % 2, 1 + np.take_along_axis(offset, p // 2, axis=1), 0)
-            if not refine:
-                return k[:, 0], np.moveaxis(top, 1, 0)
-            # neighbours among the ends come from them; the others are -inf
-            # until they are evaluated after the pass
-            at = _around(k[:, 0], c_steps, axis=1)
-            e = place[at]
-            values = np.where(e < 0, -np.inf, np.take_along_axis(f, np.maximum(e, 0), axis=1))
-            return k[:, 0], np.moveaxis(np.where(at == k, top, values), 1, 0)
-
-        # the best grid value, and its two neighbours where the maximiser reads them
-        near = np.empty((3 if refine else 1, m, n))
-        best = np.empty((m, n), dtype=np.intp)
-        # whole rows per tile while a row fits, else equal column tiles per row.
-        # The sampler's tile size serves here too: the unpruned grid pass of one
-        # a1 or a4 cell (65 a x 256 u x 257 c, beta=2, 2-core Xeon) took at best
-        # 115, 91, 81, 77, 80, 81 and 104 ms at 2^12, 2^13, ..., 2^18 cells per
-        # tile.  Pruned, the 24 a1-a4 benchmark cells took 3.1-3.8, 3.5-4.1 and
-        # 3.8-4.7 s serially at 2^14, 2^15 and 2^16 ends per tile, and peaked at
-        # 59.5, 59.4 and 61.4-62.1 MB RSS (60.0 MB unpruned): a tile of 2^16
-        # sequence values holds about 2^15 ends
-        per_row = -(-(width * n) // _MAX_CELLS)
-        cols = -(-n // per_row)
-        rows = max(1, _MAX_CELLS // (width * n))
-        for i in range(0, m, rows):
-            for j in range(0, n, cols):
-                best[i:i + rows, j:j + cols], near[:, i:i + rows, j:j + cols] = tile(
-                    u_rows[i:i + rows, j:j + cols], a_rows[i:i + rows]
-                )
+    def tile(u_t, a_t):
+        """(best grid index, its value and its neighbours' values) per node."""
+        at_ends = _residual(q, u_t[:, None, :], c[ends][:, None], a_t, beta)
+        # ends and cell interiors interleave in grid order, so argmax over
+        # the sequence still finds the first maximum; a skipped cell stays
+        # at -inf
+        seq = np.full((u_t.shape[0], width, u_t.shape[1]), -np.inf)
+        f = np.abs(at_ends, out=seq[:, 0::2])
+        bound = np.minimum(at_ends[:, 1:], 0.0)
+        bound *= -right
+        np.maximum(bound, left * np.maximum(at_ends[:, :-1], 0.0), out=bound)
+        del at_ends
+        end_max = f.max(axis=1, keepdims=True)
+        r_i, cell, n_i = np.nonzero(wide & (bound >= end_max * (1.0 - _PRUNE_REL) - _PRUNE_ABS))
+        del bound
+        # the offset of each kept cell's best interior point, at its left end
+        offset = np.zeros(f.shape, dtype=np.intp)
+        step = _FLAT_CHUNK // max(1, inner.size)
+        for t in range(0, r_i.size, step):
+            r_t, cell_t, n_t = r_i[t:t + step], cell[t:t + step], n_i[t:t + step]
+            at = np.minimum(lo[cell_t, None] + inner, hi[cell_t, None] - 1)
+            values = _maximand(q, u_t[r_t, n_t][:, None], c[at], a_t[r_t, 0], beta)
+            offset[r_t, cell_t, n_t] = np.argmax(values, axis=1)
+            seq[r_t, 2 * cell_t + 1, n_t] = values.max(axis=1)
+        p = np.argmax(seq, axis=1)[:, None]
+        top = np.take_along_axis(seq, p, axis=1)
+        k = ends[p // 2] + np.where(p % 2, 1 + np.take_along_axis(offset, p // 2, axis=1), 0)
         if not refine:
-            return near[0].reshape(shape)
-        h = 1.0 / (c_steps - 1)
-        c_best = c[best.ravel()]
-        u_nodes = u_rows.ravel()
-        a_nodes = np.broadcast_to(a_rows[:, 0], (m, n)).ravel()
-        c_near = c[_around(best.ravel(), c_steps)]
-        near = near.reshape(3, -1)
-        # the neighbours that are not ends, at most two per node
-        for s in range(0, m * n, _FLAT_CHUNK // 2):
-            k, e = np.nonzero(np.isneginf(near[:, s:s + _FLAT_CHUNK // 2]))
-            if k.size:
-                e += s
-                near[k, e] = _maximand(q, u_nodes[e], c_near[k, e], a_nodes[e], beta)
-        r = _bracket_max(
-            lambda x, sel: _maximand(q, u_nodes[sel], x, a_nodes[sel], beta),
-            c_near, near,
-            np.maximum(1.0, c_best - h), np.minimum(2.0, c_best + h),
-            _PROBE_FRACTION * h, _GS_ITERS_C,
-        )
-        return r.reshape(shape)
+            return k[:, 0], np.moveaxis(top, 1, 0)
+        # neighbours among the ends come from them; the others are -inf
+        # until they are evaluated after the pass
+        at = _around(k[:, 0], c_steps, axis=1)
+        e = place[at]
+        values = np.where(e < 0, -np.inf, np.take_along_axis(f, np.maximum(e, 0), axis=1))
+        return k[:, 0], np.moveaxis(np.where(at == k, top, values), 1, 0)
+
+    # the best grid value, and its two neighbours where the maximiser reads them
+    near = np.empty((3 if refine else 1, m, n))
+    best = np.empty((m, n), dtype=np.intp)
+    # whole rows per tile while a row fits, else equal column tiles per row.
+    # The sampler's tile size serves here too: the unpruned grid pass of one
+    # a1 or a4 cell (65 a x 256 u x 257 c, beta=2, 2-core Xeon) took at best
+    # 115, 91, 81, 77, 80, 81 and 104 ms at 2^12, 2^13, ..., 2^18 cells per
+    # tile.  Pruned, the 24 a1-a4 benchmark cells took 3.1-3.8, 3.5-4.1 and
+    # 3.8-4.7 s serially at 2^14, 2^15 and 2^16 ends per tile, and peaked at
+    # 59.5, 59.4 and 61.4-62.1 MB RSS (60.0 MB unpruned): a tile of 2^16
+    # sequence values holds about 2^15 ends
+    per_row = -(-(width * n) // _MAX_CELLS)
+    cols = -(-n // per_row)
+    rows = max(1, _MAX_CELLS // (width * n))
+    for i in range(0, m, rows):
+        for j in range(0, n, cols):
+            best[i:i + rows, j:j + cols], near[:, i:i + rows, j:j + cols] = tile(
+                u_rows[i:i + rows, j:j + cols], a_rows[i:i + rows]
+            )
+    if not refine:
+        return near[0].reshape(shape)
+    h = 1.0 / (c_steps - 1)
+    c_best = c[best.ravel()]
+    u_nodes = u_rows.ravel()
+    a_nodes = np.broadcast_to(a_rows[:, 0], (m, n)).ravel()
+    c_near = c[_around(best.ravel(), c_steps)]
+    near = near.reshape(3, -1)
+    # the neighbours that are not ends, at most two per node
+    for s in range(0, m * n, _FLAT_CHUNK // 2):
+        k, e = np.nonzero(np.isneginf(near[:, s:s + _FLAT_CHUNK // 2]))
+        if k.size:
+            e += s
+            near[k, e] = _maximand(q, u_nodes[e], c_near[k, e], a_nodes[e], beta)
+    r = _bracket_max(
+        lambda x, sel: _maximand(q, u_nodes[sel], x, a_nodes[sel], beta),
+        c_near, near,
+        np.maximum(1.0, c_best - h), np.minimum(2.0, c_best + h),
+        _PROBE_FRACTION * h, _GS_ITERS_C,
+    )
+    return r.reshape(shape)
 
 
 def r_func(

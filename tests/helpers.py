@@ -113,3 +113,13 @@ def summary_bits(summary) -> dict:
         name: np.asarray(value).tobytes() if isinstance(value, (float, np.ndarray)) else value
         for name, value in vars(summary).items()
     }
+
+
+# one value in each form a vectorised function takes it in; the 1-d form
+# pads it with 0.5, a valid u in (0, 1) and a valid c
+INPUT_KINDS = {
+    "float": float,
+    "numpy-scalar": np.float64,
+    "0-d": np.asarray,
+    "1-d": lambda value: np.array([0.5, value]),
+}

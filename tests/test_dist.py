@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from annealsolve import boltzmann_dist, quantile, std_normal_quantile
 from annealsolve.dist import boltzmann_cdf_rows, trunc_normal_quantile_arrays
-from helpers import normal_quantile_oracle, trunc_normal_quantile_oracle
+from helpers import INPUT_KINDS, normal_quantile_oracle, trunc_normal_quantile_oracle
 
 
 def test_two_point_boltzmann_pmf():
@@ -200,6 +200,17 @@ def test_std_normal_quantile_basics():
         std_normal_quantile(0.0)
     with pytest.raises(ValueError):
         std_normal_quantile(1.0)
+
+
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+def test_std_normal_quantile_open_interval_holds_for_every_input_kind(kind):
+    wrap = INPUT_KINDS[kind]
+    for u in (NAN, 0.0, -0.0, 1.0, -5e-324, 1.0 + 2.0**-52, INF, -INF):
+        with pytest.raises(ValueError, match="strictly inside"):
+            std_normal_quantile(wrap(u))
+    for u in (5e-324, 0.5, 1.0 - 2.0**-53):
+        assert np.all(np.isfinite(std_normal_quantile(wrap(u))))
+    assert std_normal_quantile(np.array([])).shape == (0,)
 
 
 def test_std_normal_quantile_accuracy_grid():

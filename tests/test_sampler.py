@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,14 +15,16 @@ from annealsolve import (
     boltzmann_dist,
     mc_convergence,
     model_id,
+    normalize,
     preset,
     q_value,
     quantile,
+    replay_errors,
 )
 from annealsolve import rng, sampler
 from annealsolve.cli import parse_model_spec
 from annealsolve.dist import boltzmann_cdf_rows
-from helpers import chisq_pvalue, trunc_normal_quantile_oracle
+from helpers import INPUT_KINDS, chisq_pvalue, trunc_normal_quantile_oracle
 
 POS21 = BoltzmannModel(SupportKind.POSITIVE, BitRange(-2, 1))
 SYM11 = BoltzmannModel(SupportKind.SIGNED_SYMMETRIC, BitRange(-1, 1))
@@ -403,3 +406,66 @@ def test_boltzmann_law_at_a_beta_whose_square_underflows_is_uniform():
     # beta^2 underflows to 0: every weight is exp(0), the beta -> 0 limit
     q = q_value(POS21, (np.arange(8) + 0.5) / 8, 1.5, 0.5, 1e-308)
     assert q.tolist() == POS21.support().tolist()
+
+
+# u and c values q_value must refuse
+BAD_U = [math.nan, -5e-324, 1.0 + 2.0**-52]
+BAD_C = [math.nan, 0.0, -0.0, -math.inf]
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=model_id)
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+def test_q_value_contract_holds_for_every_input_kind(model, kind):
+    wrap = INPUT_KINDS[kind]
+    for u in BAD_U:
+        with pytest.raises(ValueError, match="u must lie"):
+            q_value(model, wrap(u), 1.5, 0.7, 2.0)
+    for c in BAD_C:
+        with pytest.raises(ValueError, match="c must be positive"):
+            q_value(model, 0.5, wrap(c), 0.7, 2.0)
+    # -0.0 is inside [0, 1], and draws what 0.0 draws
+    at_zero, at_minus_zero = (
+        np.asarray(q_value(model, wrap(u), 1.5, 0.7, 2.0), dtype=float).tobytes()
+        for u in (0.0, -0.0)
+    )
+    assert at_minus_zero == at_zero
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=model_id)
+def test_q_value_takes_empty_inputs(model):
+    empty = np.array([])
+    assert q_value(model, empty, 1.5, 0.7, 2.0).shape == (0,)
+    assert q_value(model, 0.5, empty, 0.7, 2.0).shape == (0,)
+    assert q_value(model, empty, empty, 0.7, 2.0).shape == (0,)
+
+
+# u with both ends of [0, 1] and -0.0 mixed in; at u = 0 the a2 draw lands
+# on its d1 = 0 end
+edge_units = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), units)
+wide_betas = st.one_of(betas, st.sampled_from([1e3, 1e154, 1e300, 1e308]))
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=model_id)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    uc=st.lists(st.tuples(edge_units, st.floats(1.0, 2.0)), min_size=1, max_size=6),
+    a=scales, beta=wide_betas,
+)
+def test_scalar_q_value_is_the_array_call_bit_for_bit(model, uc, a, beta):
+    u, c = (np.array(col) for col in zip(*uc))
+    want = [v.hex() for v in q_value(model, u, c, a, beta).tolist()]
+    for wrap in (float, np.float64, np.asarray):
+        got = [float(q_value(model, wrap(u_k), wrap(c_k), a, beta)).hex() for u_k, c_k in uc]
+        assert got == want
+
+
+def test_truncated_normal_at_beta_1e308_warns_nothing():
+    # sigma*sqrt(2) = 1/(a*beta) is so small that the kernel's z terms pass
+    # the float range; erf(+-inf) = +-1 gives the beta -> inf limit
+    inst = normalize(0.75, 0.6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert q_value(preset("a1"), 0.5, 1.5, 1.0, 1e308) == 0.6666666666666666
+        for name in ("a1", "a2", "a3", "a4"):
+            xs = replay_errors(inst, preset(name), 1e308, rng.uniforms(0, 20))
+            assert np.all(np.isfinite(xs))
