@@ -111,8 +111,9 @@ def enumerate_patterns(spec: SupportSpec) -> tuple[np.ndarray, np.ndarray]:
     """
     check_enumerable(spec)
     n = spec.n_bits
-    codes = np.arange(1 << n, dtype=np.int64)
-    bits = (codes[:, None] >> np.arange(n)) & 1
+    # each code's low ceil(n/8) bytes, little-endian, unpacked least-significant bit first
+    low = np.arange(1 << n, dtype="<i8").view(np.uint8).reshape(-1, 8)[:, : (n + 7) // 8]
+    bits = np.unpackbits(low, axis=1, count=n, bitorder="little").astype(np.int64)
     weights = np.ldexp(1.0, spec.range.r + np.arange(spec.range.width))
     magnitude = bits[:, : spec.range.width].astype(float) @ weights
     if spec.kind is SupportKind.POSITIVE:

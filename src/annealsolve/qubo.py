@@ -102,11 +102,14 @@ def exhaustive_deviation(problem: QuboProblem) -> float:
     """Max |evaluate(q) + offset - (a*decode(q) - b)^2| over all bit patterns.
 
     Brute-force identity check; the encoding enumeration guard caps the size.
+    Each energy q^T Q q is the row-wise dot of q with the BLAS product
+    (bits @ Q)[k], so the sums run in another order than ``evaluate``'s and
+    may differ from it in the last bits; no temporary is larger than the
+    (2^n, n) float bit matrix.
     """
     bits, values = enumerate_patterns(problem._spec)
-    q = problem.dense_matrix()
     b01 = bits.astype(float)
-    energies = np.einsum("ki,ij,kj->k", b01, q, b01)
+    energies = np.einsum("ki,ki->k", b01 @ problem.dense_matrix(), b01)
     target = (problem.a * values - problem.b) ** 2
     return float(np.abs(energies + problem.offset - target).max())
 

@@ -134,9 +134,10 @@ class RatePoint:
 def _check_inputs(*, model, beta, a=None, a_steps=None, c_steps, gl_nodes=None) -> None:
     """Reject rate inputs outside the contract; None marks an unused input.
 
-    model's scale is checked at a, or else at the a-grid's smallest a = 1/2,
-    except for the normal E (gl_nodes given), a closed form that reads none.
-    Called once per public call, never per cell.
+    model's scale is checked at a, or else at both ends of the a-grid: the
+    scale 1/(sqrt(2) a beta) is largest at a = 1/2 and smallest at a = 1.
+    The normal E (gl_nodes given) is a closed form that reads none.  Called
+    once per public call, never per cell.
     """
     for name, value in (("a", a), ("beta", beta)):
         if value is not None:
@@ -146,7 +147,8 @@ def _check_inputs(*, model, beta, a=None, a_steps=None, c_steps, gl_nodes=None) 
         if value is not None and value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
     if gl_nodes is None or not isinstance(model, NormalModel):
-        check_scale(model, 0.5 if a is None else a, beta)
+        for a_end in (0.5, 1.0) if a is None else (a,):
+            check_scale(model, a_end, beta)
 
 
 @lru_cache(maxsize=16)

@@ -223,17 +223,25 @@ def check_finite_positive(name: str, value: float) -> None:
 
 
 def check_scale(model, a: float, beta: float) -> None:
-    """Raise ValueError where a normal or truncated-normal law's scale overflows.
+    """Raise ValueError where a normal or truncated-normal law's scale leaves the float range.
 
     The normal kernel's widest draw is sigma = 1/(sqrt(2) a beta) times
     _NDTRI_MAX = max |Phi^-1(u)| over the clipped u, the truncated normal's
     scale sigma sqrt(2); past the float range they are +-inf (at a = 1/2,
     below beta of about 6.25e-308) and inf * 0 = NaN (below about 1.1e-308).
-    Boltzmann laws pass: their beta^2 underflows to the uniform law.
+    Where sqrt(2) a beta itself overflows (at a = 1, beta above about
+    1.27e308) sigma is 0: the normal draw is then its mean, the beta -> inf
+    limit, but the truncated normal's z terms would be a divide by zero or
+    0/0 = NaN, so that band is refused too.  Boltzmann laws pass: their
+    beta^2 underflows to the uniform law.
     """
     if not isinstance(model, (NormalModel, TruncNormalModel)):
         return
     x = _SQRT2 * a * beta
+    if x == math.inf and isinstance(model, TruncNormalModel):
+        raise ValueError(
+            f"beta={beta!r} is too large: the law's scale 1/(sqrt(2)*a*beta) is 0 at a={a!r}"
+        )
     sigma = 1.0 / x if x else math.inf
     if isinstance(model, NormalModel):
         name, scale = "sigma*7.9414 = 7.9414/(sqrt(2)*a*beta)", sigma * _NDTRI_MAX

@@ -142,12 +142,11 @@ class IterationTrace:
     def to_csv(self) -> str:
         out = io.StringIO()
         out.write(",".join(TRACE_COLUMNS) + "\n")
-        for n in range(self.n_steps):
-            out.write(
-                f"{n},{float(self.x[n])!r},{float(self.residual[n])!r},"
-                f"{int(self.l[n])},{float(self.c[n])!r},{float(self.eta[n])!r},"
-                f"{float(self.delta[n])!r},{float(self.multiplier[n])!r}\n"
-            )
+        # each column read once as Python floats and ints, whose repr is the
+        # shortest round-trip text; zip stops before x's final iterate
+        columns = (self.x, self.residual, self.l, self.c, self.eta, self.delta, self.multiplier)
+        for n, row in enumerate(zip(*(col.tolist() for col in columns))):
+            out.write(f"{n},{','.join(map(repr, row))}\n")
         if self.stopped:
             # early stops get a terminal row with the final state
             out.write(f"{self.n_steps},{self.final_x!r},{self.final_residual!r},,,,,\n")

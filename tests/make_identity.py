@@ -1,6 +1,6 @@
 """Write tests/data/identity.json, the identity ledger of the package's outputs.
 
-The ledger holds five SHA-256 hashes, each over outputs that a change meant
+The ledger holds seven SHA-256 hashes, each over outputs that a change meant
 to keep every value must leave bit-identical:
 
 * ``e_max``: ``float(E_max(model, beta)).hex()`` over the benchmark's rate
@@ -15,7 +15,13 @@ to keep every value must leave bit-identical:
   ``trajectories`` inputs, each one ``float`` at a time through the scalar
   path;
 * ``scalar_draws``: scalar ``q_value`` draws, one Python float (u, c) at a
-  time, of the normal and a1..a4 laws on the ``boltzmann_draws`` grid.
+  time, of the normal and a1..a4 laws on the ``boltzmann_draws`` grid;
+* ``qubo_patterns``: the dtype, shape and bytes of ``enumerate_patterns``'
+  bits and the ``float.hex`` of its values, for each support kind over the
+  bit ranges of the benchmark's first seed-0 ``trajectories`` inputs;
+* ``qubo_deviation``: the ``float.hex`` of ``exhaustive_deviation`` of the
+  same inputs' QUBOs, ``build_qubo`` of the normalised (a, b) over each range;
+  a change to the order in which the energies are summed moves it.
 
 The ledger records each hash's inputs and the numpy and scipy versions it
 was made with, so ``tests/test_identity.py`` recomputes the hashes without
@@ -38,6 +44,7 @@ import numpy as np
 import scipy
 
 import annealsolve as ans
+from annealsolve.encoding import BitRange, SupportKind, SupportSpec, enumerate_patterns
 from annealsolve.sampler import parse_model_spec
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -107,12 +114,31 @@ def scalar_draws_hash(models, u, c, a_values, betas) -> str:
     return sha.hexdigest()
 
 
+def qubo_patterns_hash(ranges) -> str:
+    sha = hashlib.sha256()
+    for (r, p), kind in itertools.product(ranges, SupportKind):
+        bits, values = enumerate_patterns(SupportSpec(kind, BitRange(r, p)))
+        sha.update(f"{bits.dtype.str}{bits.shape};".encode())
+        sha.update(np.ascontiguousarray(bits).tobytes())
+        sha.update(_text(values).encode())
+    return sha.hexdigest()
+
+
+def qubo_deviation_hash(inputs) -> str:
+    sha = hashlib.sha256()
+    for a0, b0, r, p in inputs:
+        inst = ans.normalize(a0, b0)
+        problem = ans.build_qubo(inst.a, inst.b, BitRange(r, p))
+        sha.update(_text(ans.exhaustive_deviation(problem)).encode())
+    return sha.hexdigest()
+
+
 def versions() -> dict:
     return {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
 def hashes(doc: dict) -> dict:
-    """The five hashes of a ledger's recorded inputs."""
+    """The hashes of a ledger's recorded inputs."""
     e, mc, q = doc["e_max"], doc["mc_summary"], doc["boltzmann_draws"]
     tr, sq = doc["solve_traces"], doc["scalar_draws"]
     return {
@@ -121,6 +147,8 @@ def hashes(doc: dict) -> dict:
         "boltzmann_draws": draws_hash(q["models"], q["u"], q["c"], q["a"], q["betas"]),
         "solve_traces": solve_traces_hash(tr["inputs"], tr["max_iter"]),
         "scalar_draws": scalar_draws_hash(sq["models"], sq["u"], sq["c"], sq["a"], sq["betas"]),
+        "qubo_patterns": qubo_patterns_hash(doc["qubo_patterns"]["ranges"]),
+        "qubo_deviation": qubo_deviation_hash(doc["qubo_deviation"]["inputs"]),
     }
 
 
@@ -128,6 +156,7 @@ def main() -> None:
     sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
     import workloads as wl
 
+    traj = list(itertools.islice(wl.traj_inputs(0), TRAJ_OPS))
     registers = sorted(
         {spec for spec in wl.RATE_MODELS + wl.MC_MODELS if spec.startswith("boltzmann")}
         | {f"boltzmann:{kind}:r={r}:p=1" for kind, rs in wl.TRAJ_REGISTERS.items() for r in rs}
@@ -146,9 +175,7 @@ def main() -> None:
         "solve_traces": {
             "inputs": [
                 [a0, b0, spec, beta, seed]
-                for a0, b0, _, _, spec, beta, _, _, seed in itertools.islice(
-                    wl.traj_inputs(0), TRAJ_OPS
-                )
+                for a0, b0, _, _, spec, beta, _, _, seed in traj
             ],
             "max_iter": wl.TRAJ_STEPS,
         },
@@ -156,6 +183,8 @@ def main() -> None:
             "models": ["normal", "a1", "a2", "a3", "a4"],
             "u": DRAW_U, "c": DRAW_C, "a": DRAW_A, "betas": DRAW_BETAS,
         },
+        "qubo_patterns": {"ranges": [[r, p] for *_, r, p, _ in traj]},
+        "qubo_deviation": {"inputs": [[a0, b0, r, p] for a0, b0, *_, r, p, _ in traj]},
     }
     for name, digest in hashes(doc).items():
         doc[name]["sha256"] = digest

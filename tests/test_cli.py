@@ -280,6 +280,18 @@ def test_truncated_normal_rate_curve_at_beta_1e308_warns_nothing():
     ]
 
 
+def test_truncated_normal_rate_curve_at_beta_1_5e308_exits_1():
+    # sqrt(2) a beta overflows at the a-grid's end a = 1: the law's scale is 0
+    argv = ["rate-curve", "--models", "a3", "--beta-min", "1.5e308", "--beta-max", "1.5e308",
+            "--beta-steps", "1", "--a-steps", "3", "--c-steps", "5", "--gl-nodes", "8"]
+    env = dict(os.environ, PYTHONPATH=str(Path(annealsolve.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "annealsolve",
+                           *argv], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("annealsolve: error: beta=1.5e+308 is too large")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 def test_rate_curve_empty_models_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["rate-curve", "--models", ",", "--beta-min", "1", "--beta-max", "2",

@@ -160,3 +160,29 @@ def test_enumerators_share_one_size_guard():
     for enumerate_ in (enumerate_support, enumerate_patterns):
         with pytest.raises(SupportTooLargeError, match="^31 bits exceeds enumeration limit 30$"):
             enumerate_(spec)
+
+
+def _shift_and_mask_patterns(spec):
+    # the int64 shift-and-mask enumeration, with values from the same columns
+    n, w = spec.n_bits, spec.range.width
+    bits = (np.arange(1 << n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+    magnitude = bits[:, :w].astype(float) @ np.ldexp(1.0, spec.range.r + np.arange(w))
+    if spec.kind is SupportKind.POSITIVE:
+        return bits, magnitude
+    if spec.kind is SupportKind.TWOS_COMPLEMENT:
+        return bits, magnitude + bits[:, -1] * spec.range.theta
+    return bits, np.where(bits[:, -1] == 1, -magnitude, magnitude)
+
+
+def test_patterns_equal_the_shift_and_mask_oracle():
+    specs = list(_oracle_specs())
+    assert {spec.n_bits for spec in specs} == set(range(1, 13))
+    for spec in specs:
+        bits, values = enumerate_patterns(spec)
+        want_bits, want_values = _shift_and_mask_patterns(spec)
+        assert bits.dtype == want_bits.dtype and values.dtype == want_values.dtype, spec
+        assert np.array_equal(bits, want_bits), spec
+        # bitwise, so sign-magnitude's -0.0 must stay -0.0
+        assert values.tobytes() == want_values.tobytes(), spec
+        if spec.kind is SupportKind.SIGNED_SYMMETRIC:
+            assert np.signbit(values[1 << spec.range.width]), spec

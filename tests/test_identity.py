@@ -19,6 +19,7 @@ def test_identity_ledger_is_reproduced():
     if doc["versions"] != versions():
         pytest.skip(f"ledger made with {doc['versions']}, running {versions()}")
     want = {name: doc[name]["sha256"] for name in (
-        "e_max", "mc_summary", "boltzmann_draws", "solve_traces", "scalar_draws"
+        "e_max", "mc_summary", "boltzmann_draws", "solve_traces", "scalar_draws",
+        "qubo_patterns", "qubo_deviation",
     )}
     assert hashes(doc) == want

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annealsolve import (
     BitRange,
@@ -7,6 +11,7 @@ from annealsolve import (
     SupportKind,
     SupportSpec,
     build_qubo,
+    decode,
     enumerate_patterns,
     exhaustive_deviation,
     export_qubo,
@@ -110,6 +115,34 @@ def test_minimizer_is_closest_representable(a, b):
 def test_exhaustive_deviation_zero_on_dyadic_instances():
     assert exhaustive_deviation(build_qubo(0.5, 0.5, BitRange(-1, 0))) == 0.0
     assert exhaustive_deviation(build_qubo(0.75, -1.25, BitRange(-3, 1))) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    a=st.floats(0.5, 1.0, exclude_max=True),
+    b=st.floats(-2.0, 2.0),
+    p=st.integers(-2, 3),
+    width=st.integers(1, 7),
+)
+def test_exhaustive_deviation_matches_a_scalar_fsum_oracle(a, b, p, width):
+    # up to 8 qubits.  The oracle sums the coefficients evaluate() selects,
+    # the offset and -target of each pattern once, exactly, with math.fsum;
+    # the matrix form rounds each energy and two additions, so it may part
+    # from the oracle by a few ulp of the largest term of the identity
+    problem = build_qubo(a, b, BitRange(p - width, p))
+    spec = SupportSpec(SupportKind.TWOS_COMPLEMENT, problem.range)
+    r = problem.range.r
+    scale, oracle = problem.offset, 0.0
+    for code in range(1 << problem.n_bits):
+        bits = [(code >> k) & 1 for k in range(problem.n_bits)]
+        terms = [v for (i, j), v in problem.coefficients.items() if bits[i - r] and bits[j - r]]
+        target = (a * decode(bits, spec) - b) ** 2
+        assert problem.evaluate(bits) == sum(terms)
+        scale = max(scale, abs(math.fsum(terms)))
+        oracle = max(oracle, abs(math.fsum([*terms, problem.offset, -target])))
+    deviation = exhaustive_deviation(problem)
+    assert abs(deviation - oracle) <= 4 * math.ulp(scale)
+    assert deviation <= 1e-12
 
 
 def test_coo_export_layout():

@@ -1,6 +1,7 @@
 import math
 import os
 import tracemalloc
+import warnings
 from collections import Counter
 from unittest import mock
 
@@ -444,6 +445,28 @@ def test_rate_inputs_outside_contract_raise(call):
 def test_rate_refuses_a_law_whose_scale_overflows(call):
     with pytest.raises(ValueError, match="is too small: the law's scale"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: r_func(preset("a3"), 0.3, 1.0, 1.79e308),
+    lambda: E_func(preset("a1"), 1.0, 1.5e308),
+    # the a-grid ends at 1, where sqrt(2) a beta overflows first
+    lambda: E_max(preset("a1"), 1.5e308, a_steps=3, c_steps=5, gl_nodes=8),
+    lambda: rate_curve([POS21, preset("a4")], [1.0, 1.79e308], a_steps=3, c_steps=5, gl_nodes=8),
+])
+def test_rate_refuses_a_truncated_normal_law_whose_scale_is_zero(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"is too large: .* is 0 at a=1.0$"):
+            call()
+
+
+def test_r_func_at_beta_1_79e308_below_the_zero_scale_band():
+    # at a = 1/2, sqrt(2) a beta is still finite: the beta -> inf limit, no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert r_func(preset("a3"), 0.3, 0.5, 1.79e308) == r_func(preset("a3"), 0.3, 0.5, 1e300)
+        assert r_func(NormalModel(), 0.3, 1.0, 1.79e308) == r_func(NormalModel(), 0.3, 1.0, 1e300)
 
 
 def test_rate_keeps_the_laws_whose_scale_is_not_read():

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -400,6 +401,27 @@ def test_q_value_refuses_the_normal_band_whose_draws_overflow():
     # sigma = 1/(sqrt(2) a beta) is finite here, but sigma Phi^-1(0.9) is not
     with pytest.raises(ValueError, match=r"beta=1e-308 is too small: the law's scale"):
         q_value(NormalModel(), 0.9, 1.5, 0.5, 1e-308)
+
+
+@pytest.mark.parametrize("name", ["a1", "a2", "a3", "a4"])
+@pytest.mark.parametrize("beta", [1.5e308, 1.79e308])
+def test_q_value_refuses_the_truncated_normal_band_whose_scale_is_zero(name, beta):
+    # sqrt(2) a beta overflows at a = 1, so sigma = 0 and the z terms would
+    # be a divide by zero or 0/0 = NaN (a3 at c = 2 puts the mean on d1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = rf"beta={re.escape(repr(beta))} is too large: .* is 0 at a=1.0$"
+        with pytest.raises(ValueError, match=message):
+            q_value(preset(name), 0.3, 2.0, 1.0, beta)
+        # at a = 1/2 the product stays finite: the beta -> inf limit, no warning
+        assert q_value(preset(name), 0.3, 2.0, 0.5, beta) == min(max(1.0, preset(name).d1),
+                                                                  preset(name).d2)
+
+
+def test_normal_law_whose_scale_is_zero_draws_its_mean():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert q_value(NormalModel(), 0.3, 2.0, 1.0, 1.79e308) == 0.5
 
 
 def test_boltzmann_law_at_a_beta_whose_square_underflows_is_uniform():
