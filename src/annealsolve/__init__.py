@@ -7,7 +7,7 @@ exact finite-register correction laws, and evaluates the convergence-rate
 functionals that certify almost-sure convergence.
 """
 
-from .dist import DiscreteDist, boltzmann_dist, quantile, std_normal_quantile
+from .dist import std_normal_quantile
 from .encoding import (
     BitRange,
     SupportKind,
@@ -57,7 +57,6 @@ __all__ = [
     "BoltzmannModel",
     "CorrectionModel",
     "DegenerateProblemError",
-    "DiscreteDist",
     "E_func",
     "E_max",
     "EULER_GAMMA",
@@ -75,7 +74,6 @@ __all__ = [
     "SupportSpec",
     "SupportTooLargeError",
     "TruncNormalModel",
-    "boltzmann_dist",
     "build_qubo",
     "decode",
     "enumerate_patterns",
@@ -91,7 +89,6 @@ __all__ = [
     "normalize",
     "preset",
     "q_value",
-    "quantile",
     "r_func",
     "rate_curve",
     "rate_points_to_csv",

@@ -1,5 +1,5 @@
-"""Probability kernels: the models' quantile kernels, the truncated normal's CDF
-and the Boltzmann reference law, which shares the sampler's CDF and index rule.
+"""Probability kernels: the models' quantile kernels, the Boltzmann CDF rows
+and the truncated normal's CDF.
 
 The Boltzmann law over a finite support puts mass proportional to
 ``exp(-beta^2 * H(v))`` on each support value ``v`` -- note the *squared*
@@ -10,7 +10,6 @@ as a normal law with variance ``1 / (2 a^2 beta^2)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as sc
@@ -31,19 +30,10 @@ _ROW_ADD_MIN_TARGETS = 256
 _SQRT2 = float(np.sqrt(2.0))
 
 
-@dataclass(frozen=True)
-class DiscreteDist:
-    """A distribution on a strictly increasing finite support, CDF-queryable."""
-
-    support: np.ndarray
-    pmf: np.ndarray
-    cdf: np.ndarray
-
-
 def _boltzmann_weights(support: np.ndarray, targets, a: float, beta: float) -> np.ndarray:
     """Unnormalised Boltzmann weights, one column per target: (support, targets).
 
-    The one weight step of ``boltzmann_dist`` and ``boltzmann_cdf_rows``.
+    The weight step of ``boltzmann_cdf_rows``, the package's one Boltzmann law.
     The energies are ``np.subtract.outer(a * support, targets)`` squared, so
     a 0-d target gives one (support,) column and a 1-D one the (support,
     targets) matrix, by the same float operations.
@@ -77,42 +67,17 @@ def _boltzmann_weights(support: np.ndarray, targets, a: float, beta: float) -> n
     return h
 
 
-def boltzmann_dist(beta: float, support, target: float, a: float) -> DiscreteDist:
-    """Boltzmann law with energy H(v) = (a*v - target)^2 on a finite support.
-
-    The weights, with their overflow and beta -> inf rules, come from
-    ``_boltzmann_weights``, and cdf is the target's ``boltzmann_cdf_rows`` row,
-    the sampler's.  Every check is written as not-inside, so that NaN fails it too.
-    """
-    support = np.asarray(support, dtype=float)
-    if support.ndim != 1 or support.size == 0:
-        raise ValueError("support must be a nonempty 1-d array")
-    if not np.all(np.isfinite(support)):
-        raise ValueError("support must be finite")
-    if support.size > 1 and not np.all(np.diff(support) > 0.0):
-        raise ValueError("support must be strictly increasing")
-    if not 0.0 < beta < math.inf:
-        raise ValueError(f"beta must be finite and positive, got {beta}")
-    if not 0.0 < abs(a) < math.inf:
-        raise ValueError(f"a must be finite and nonzero, got {a}")
-    if not math.isfinite(target):
-        raise ValueError(f"target must be finite, got {target}")
-    w = _boltzmann_weights(support, (target,), a, beta)[:, 0]
-    return DiscreteDist(support, w / w.sum(), boltzmann_cdf_rows(support, (target,), a, beta)[0])
-
-
 def boltzmann_cdf_rows(support, targets, a: float, beta: float) -> np.ndarray:
     """CDF matrix of the Boltzmann law for many targets at once.
 
     Row ``k`` is the CDF over ``support`` for energy ``(a*v - targets[k])^2``;
     a 0-d target gives its one row, as a (support,) array equal bit for bit
     to the row of the one-target call.  Shared by the sampler, which draws
-    one 0-d target at a time on the scalar path, and the rate machinery,
-    which sweep targets 1/c.
+    one 0-d target at a time on the scalar path, the rate machinery, which
+    sweeps targets 1/c, and ``limit_check``, which reads one row per range.
 
     The work is done support-major, in the contiguous (support, targets)
-    array of ``_boltzmann_weights`` (the weight step ``boltzmann_dist``
-    shares), and the result is its transposed view: each step is a
+    array of ``_boltzmann_weights``, and the result is its transposed view: each step is a
     whole-array operation or a row add over all targets, never a reduction
     along a short row.  Every element goes through the same float
     operations in the same order as a row-by-row computation (the running
@@ -130,31 +95,6 @@ def boltzmann_cdf_rows(support, targets, a: float, beta: float) -> np.ndarray:
     h[:-1] /= h[-1]
     h[-1] = 1.0
     return h.T
-
-
-def _quantile_index(cdf: np.ndarray, u) -> np.ndarray:
-    """The Boltzmann index rule: #{k : cdf[k] < u}, the first index whose entry reaches u.
-
-    cdf is support-major and u broadcasts against its other axes, so one
-    (support,) CDF row and a scalar u give one index.  CDF entries
-    are +0.0 or at least the smallest subnormal, so at u = 0 the count of
-    cdf < 5e-324 is that of cdf <= 0: the first index with positive mass.
-    """
-    return (cdf < np.maximum(u, 5e-324)).sum(axis=0)
-
-
-def quantile(dist: DiscreteDist, u):
-    """Generalized inverse CDF: the smallest support value with cdf >= u.
-
-    The index is ``_quantile_index``'s, the sampler's rule; at u = 1 it stops at the
-    first entry computed as 1.0, before any last point of mass below the CDF's ulp.
-    """
-    u_arr = np.asarray(u, dtype=float)
-    # written as not-all-inside so that NaN fails the test too
-    if not np.all((u_arr >= 0.0) & (u_arr <= 1.0)):
-        raise ValueError("u must lie in [0, 1]")
-    values = dist.support[_quantile_index(dist.cdf[:, None], u_arr.ravel()).reshape(u_arr.shape)]
-    return float(values) if np.isscalar(u) else values
 
 
 def std_normal_quantile(u):

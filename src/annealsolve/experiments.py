@@ -21,7 +21,7 @@ import numpy as np
 import scipy.special as sc
 
 from . import rate, rng
-from .dist import boltzmann_dist, trunc_normal_cdf
+from .dist import boltzmann_cdf_rows, trunc_normal_cdf
 from .encoding import BitRange, SupportKind, SupportSpec, check_enumerable, enumerate_support
 from .sampler import CorrectionModel, NormalModel, TruncNormalModel, check_finite_positive, model_id
 # imported only so the benchmark's trace hooks can rebind it here
@@ -216,13 +216,14 @@ def log_abs_normal_mean_check(n_samples: int, seed: int = 0) -> float:
     return float(np.mean(np.log(np.abs(xi))))
 
 
-def ks_discrete_vs_continuous(pmf, continuous_cdf: np.ndarray) -> float:
+def ks_discrete_vs_continuous(cdf, continuous_cdf: np.ndarray) -> float:
     """Exact sup distance between a discrete CDF and a continuous one.
 
-    The supremum over the whole line is attained at support points or their
-    left limits, so no sampling is involved.
+    Both are given at the support points.  The supremum over the whole line
+    is attained there or at their left limits (the previous entry of cdf, 0
+    before the first), so no sampling is involved.
     """
-    fd = np.cumsum(np.asarray(pmf, dtype=float))
+    fd = np.asarray(cdf, dtype=float)
     left = np.concatenate(([0.0], fd[:-1]))
     return float(
         max(np.abs(fd - continuous_cdf).max(), np.abs(left - continuous_cdf).max())
@@ -249,6 +250,7 @@ def limit_check(
     signed symmetric grid and compares it to N(b/a, 1/(2 a^2 beta^2)); with a
     TruncNormalModel(d1, d2), the range's width is the number of bits of the
     affine grid on [d1, d2) and the limit is that normal truncated to it.
+    Each law's CDF is the target b's ``boltzmann_cdf_rows`` row.
     """
     check_equation(a, b)
     check_finite_positive("beta", beta)
@@ -270,23 +272,36 @@ def limit_check(
         d1, d2 = limit.d1, limit.d2
         if not (math.isfinite(d1) and math.isfinite(d2)):
             raise ValueError(f"interval endpoints must be finite, got ({d1}, {d2})")
+        if d2 - d1 == math.inf:
+            raise ValueError(f"the interval [{d1}, {d2}] is too wide: its width d2 - d1 overflows")
         # the grid k / 2^width on [0, 1), mapped affinely onto [d1, d2)
         specs = [SupportSpec(SupportKind.POSITIVE, BitRange(-rg.width, 0)) for rg in ranges]
     else:
         raise ValueError(f"the limit law must be normal or truncated normal, got {model_id(limit)}")
-    if specs:
-        # the widest grid is refused before any row is computed
-        check_enumerable(max(specs, key=lambda spec: spec.n_bits))
+    if not specs:
+        return []
+    # the widest grid is refused before any row is computed
+    widest = max(specs, key=lambda spec: spec.n_bits)
+    check_enumerable(widest)
+    if isinstance(limit, TruncNormalModel):
+        # each range's grid is every 2^(widest - width)-th point of the widest, bit for
+        # bit, so the widest alone decides whether any has equal neighbours
+        grid = d1 + (d2 - d1) * enumerate_support(widest)
+        if not np.all(grid[1:] > grid[:-1]):
+            raise ValueError(
+                f"the interval [{d1}, {d2}] is too narrow for a {widest.n_bits}-bit grid: "
+                "neighbouring grid points round to one double"
+            )
 
     rows = []
     for rg, spec in zip(ranges, specs):
-        support = enumerate_support(spec)
         if isinstance(limit, NormalModel):
+            support = enumerate_support(spec)
             # a point past the float range of sigmas has ndtr(+-inf), exact
             with np.errstate(over="ignore"):
                 limit_cdf = sc.ndtr((support - mu) / sigma)
         else:
-            support = d1 + (d2 - d1) * support
+            support = grid[:: grid.size >> spec.n_bits]
             with np.errstate(invalid="ignore"):
                 limit_cdf = trunc_normal_cdf(support, mu, sigma, d1, d2)
             if not np.all(np.isfinite(limit_cdf)):
@@ -295,12 +310,12 @@ def limit_check(
                     f"the truncated limit law on [{d1}, {d2}] is too narrow to resolve: "
                     "its two tail masses are equal in double precision"
                 )
-        dist = boltzmann_dist(beta, support, b, a)
+        cdf = boltzmann_cdf_rows(support, b, a, beta)
         rows.append(
             LimitCheckRow(
                 range=rg,
                 n_points=support.size,
-                ks=ks_discrete_vs_continuous(dist.pmf, limit_cdf),
+                ks=ks_discrete_vs_continuous(cdf, limit_cdf),
             )
         )
     return rows

@@ -458,7 +458,7 @@ def _boltzmann_pieces(
     lengths = np.diff(levels)
     n = lengths.size
     # row j's quantile index on piece i, the u in (levels[i], levels[i+1]],
-    # is dist._quantile_index's #{k : cdf[j, k] < u} = #{k : rank[j, k] <= i} (the
+    # is sampler._quantile_index's #{k : cdf[j, k] < u} = #{k : rank[j, k] <= i} (the
     # last level is 1 and never counts), and at u = 0 that of piece 0; rows
     # are nondecreasing, so support index k fills the run
     # ends[j, k] <= i < ends[j, k+1] with ends[j, k+1] = rank[j, k]

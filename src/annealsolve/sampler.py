@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dist import _SQRT2, _quantile_index, boltzmann_cdf_rows
+from .dist import _SQRT2, boltzmann_cdf_rows
 from .dist import std_normal_quantile, trunc_normal_quantile_arrays
 from .encoding import BitRange, SupportKind, SupportSpec, enumerate_support
 
@@ -251,13 +251,26 @@ def check_scale(model, a: float, beta: float) -> None:
         raise ValueError(f"beta={beta!r} is too small: the law's scale {name} overflows at a={a!r}")
 
 
+def _quantile_index(cdf: np.ndarray, u) -> np.ndarray:
+    """The Boltzmann index rule: #{k : cdf[k] < u}, the first index whose entry reaches u.
+
+    cdf is support-major and u broadcasts against its other axes, so one
+    (support,) CDF row and a scalar u give one index.  CDF entries
+    are +0.0 or at least the smallest subnormal, so at u = 0 the count of
+    cdf < 5e-324 is that of cdf <= 0: the first index with positive mass.
+    At u = 1 it stops at the first entry computed as 1.0, before any last
+    point of mass below the CDF's ulp.
+    """
+    return (cdf < np.maximum(u, 5e-324)).sum(axis=0)
+
+
 def _boltzmann_q(support: np.ndarray, u, c, a: float, beta: float):
-    """The reference law's ``quantile`` at (u, 1/c), bit for bit, in _MAX_CELLS tiles.
+    """The Boltzmann law's quantile at (u, 1/c), by the index rule, in _MAX_CELLS tiles.
 
     One draw (u and c both floats: 0-d, as ``q_value`` passes a scalar draw)
     skips the broadcast and the tiles: its CDF is the one (support,) row of
     a 0-d target, through the same ``boltzmann_cdf_rows`` and
-    ``_quantile_index``.
+    ``_quantile_index``, so it equals the tiled draw bit for bit.
     """
     if isinstance(u, float) and isinstance(c, float):
         return support[_quantile_index(boltzmann_cdf_rows(support, 1.0 / c, a, beta), u)]

@@ -118,6 +118,17 @@ def _advance(
     return x + np.ldexp(delta, -l), res, l, c, q, delta
 
 
+def _error_ratio(a: float, res: float, l: int, c: float, q: float) -> float:
+    """One step's error multiplier g_{n+1}/g_n = 1 - a*c*q, on Python floats.
+
+    Where c = 1/ldexp(|res|, l) overflowed, a*c*q is inf*0 at q = 0, so the
+    exact form 1 - a*q/ldexp(|res|, l) is taken: 1 at q = 0.
+    """
+    if c == math.inf:
+        return 1.0 - a * q / math.ldexp(abs(res), l)
+    return 1.0 - a * c * q
+
+
 @dataclass(frozen=True)
 class IterationTrace:
     """Complete record of one solve run.
@@ -227,6 +238,11 @@ def solve(
             x[n + 1] = x_n = x_next
             n += 1
 
+    # c overflows only on the zero-exponent first step: step 0 takes the scalar rule
+    multiplier = np.empty(n)
+    multiplier[1:] = 1.0 - inst.a * c[1:n] * q[1:n]
+    if n:
+        multiplier[0] = _error_ratio(inst.a, float(res[0]), int(l[0]), float(c[0]), float(q[0]))
     return IterationTrace(
         instance=inst,
         model=model_id(model),
@@ -240,7 +256,7 @@ def solve(
         c=c[:n],
         eta=etas[:n],
         delta=delta[:n],
-        multiplier=1.0 - inst.a * c[:n] * q[:n],
+        multiplier=multiplier,
         exact=bool(inst.b - inst.a * x[n] == 0.0),
         stopped=n < max_iter,
     )
@@ -272,6 +288,6 @@ def replay_errors(
         l = 0 if (l0_zero and n == 0) else residual_exponent(res_mag)
         c = 1.0 / math.ldexp(res_mag, l)
         q = q_value(model, float(eta), c, inst.a, beta)
-        g = g * (1.0 - inst.a * c * q)
+        g = g * _error_ratio(inst.a, res_mag, l, c, q)
         xs.append(ba - g)
     return np.array(xs)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import scipy.stats
 
@@ -38,6 +40,59 @@ def trunc_normal_cdf(t: float, mu: float, sigma: float, d1: float, d2: float) ->
 
 def trunc_normal_quantile_oracle(mu, sigma, d1, d2, u) -> float:
     return bisect_quantile(lambda t: trunc_normal_cdf(t, mu, sigma, d1, d2), u, d1, d2)
+
+
+def boltzmann_law_oracle(support, target: float, a: float, beta: float):
+    """The Boltzmann law with energy (a*v - target)^2 on support, as (pmf, cdf) mpf lists.
+
+    Each energy is formed exactly, as a Fraction of the float inputs, and
+    shifted by the exact minimum; the weights exp(-beta^2 * gap), their sum
+    and the running sums are taken in mpmath at 30 digits.  No energy gap
+    rounds away, so a target far past the support keeps its mass on the
+    nearest point, and mpmath's exponent range keeps every weight positive.
+    """
+    a_q, t_q = Fraction(a), Fraction(target)
+    energies = [(a_q * Fraction(float(v)) - t_q) ** 2 for v in support]
+    low = min(energies)
+    with mpmath.workdps(30):
+        beta2 = mpmath.mpf(beta) ** 2
+        weights = [
+            mpmath.exp(-beta2 * mpmath.mpf(gap.numerator) / gap.denominator)
+            for gap in (e - low for e in energies)
+        ]
+        total = mpmath.fsum(weights)
+        pmf = [w / total for w in weights]
+        cdf, running = [], mpmath.mpf(0)
+        for w in weights:
+            running += w
+            cdf.append(running / total)
+    return pmf, cdf
+
+
+def floats(values) -> np.ndarray:
+    """An oracle's mpf values as a float array, each rounded once."""
+    return np.array([float(v) for v in values])
+
+
+def oracle_step_probes(cdf, rel: float = 1e-9):
+    """u just below and just above each step of an exact CDF, and each u's index.
+
+    Each u lies rel * cdf[k] from step k.  A u nearer than rel/2 to any
+    step is dropped, so no u is within rounding of a step, and so is a u
+    outside [2^-1022, 1), where a CDF entry has no float's relative
+    precision or u is no probe.  Each index is ``oracle_index``'s.
+    """
+    levels = floats(cdf)
+    us = np.unique(np.concatenate((levels * (1.0 - rel), levels * (1.0 + rel))))
+    apart = (np.abs(us[:, None] - levels) > rel / 2 * levels).all(axis=1)
+    us = us[apart & (us >= np.finfo(float).tiny) & (us < 1.0)]
+    return us, oracle_index(cdf, us)
+
+
+def oracle_index(cdf, us) -> np.ndarray:
+    """The index rule on an exact CDF: #{k : cdf[k] < u} for each u, counted exactly."""
+    counts = [sum(level < u for level in cdf) for u in np.asarray(us, dtype=float).flat]
+    return np.array(counts, dtype=int)
 
 
 def chisq_pvalue(counts: np.ndarray, probs: np.ndarray) -> float:

@@ -13,7 +13,7 @@ import pytest
 import annealsolve as ans
 from annealsolve import BitRange, BoltzmannModel, NormalModel, SupportKind, TruncNormalModel
 from annealsolve.sampler import PRESETS
-from helpers import chisq_pvalue, twos_complement_value
+from helpers import boltzmann_law_oracle, chisq_pvalue, floats, twos_complement_value
 
 
 def report(number: int, ok: bool, elapsed: float, budget: float, detail: str):
@@ -63,13 +63,14 @@ def test_criterion_2_sampler_oracle_equivalence():
     pvalues = []
     for k, (model, beta) in enumerate(configs):
         assert model.range.width <= 8
-        dist = ans.boltzmann_dist(beta, model.support(), 1.0 / c, a)
+        # the exact law of the helpers, which shares no step with the sampler
+        pmf = floats(boltzmann_law_oracle(model.support(), 1.0 / c, a, beta)[0])
         p = 0.0
         for attempt, seed in enumerate((900 + k, 1900 + k)):  # one re-seed allowed
             u = ans.rng.uniforms(seed, 10**5)
             values = ans.q_value(model, u, c, a, beta)
-            counts = np.array([(values == v).sum() for v in dist.support])
-            p = chisq_pvalue(counts, dist.pmf)
+            counts = np.array([(values == v).sum() for v in model.support()])
+            p = chisq_pvalue(counts, pmf)
             if p > 0.01:
                 break
         pvalues.append(p)

@@ -535,6 +535,12 @@ def test_dash_token_that_is_not_a_number_stays_an_option(capsys):
     (["--limit", "truncnormal:d1=0:d2=inf"], "interval endpoints must be finite"),
     (["--limit", "truncnormal:d1=-inf:d2=1"], "interval endpoints must be finite"),
     (["--limit", "boltzmann:positive:r=-1:p=1"], "the limit law must be normal or truncated"),
+    # the width d2 - d1 overflows a float
+    (["--limit", "truncnormal:d1=-1e308:d2=1e308"],
+     "the interval [-1e+308, 1e+308] is too wide: its width d2 - d1 overflows"),
+    # the 3-bit grid's step 1.2e-6 is below the ulp 1.9e-6 of 1e10
+    (["--limit", "truncnormal:d1=1e10:d2=10000000000.00001"],
+     "the interval [10000000000.0, 10000000000.00001] is too narrow for a 3-bit grid"),
 ])
 def test_limit_check_inputs_outside_contract_exit_1(capsys, flags, message):
     argv = {"--a": "1", "--b": "0.5", "--beta": "1"}

@@ -2,62 +2,122 @@ import math
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sc
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from annealsolve import boltzmann_dist, quantile, std_normal_quantile
-from annealsolve.dist import boltzmann_cdf_rows, trunc_normal_quantile_arrays
-from helpers import INPUT_KINDS, normal_quantile_oracle, trunc_normal_quantile_oracle
+from annealsolve import BitRange, BoltzmannModel, SupportKind, std_normal_quantile
+from annealsolve.dist import _boltzmann_weights, boltzmann_cdf_rows, trunc_normal_quantile_arrays
+from annealsolve.sampler import _boltzmann_q
+from helpers import (
+    INPUT_KINDS,
+    boltzmann_law_oracle,
+    floats,
+    normal_quantile_oracle,
+    oracle_step_probes,
+    trunc_normal_quantile_oracle,
+)
+
+# (support, target, a, beta) at moderate targets, where no energy gap rounds away
+MODERATE_LAWS = [
+    (np.array([-0.5, 0.0, 0.25, 1.0]), 0.4, 0.8, 1.7),
+    (np.array([0.0, 1.0]), 1.0, 1.0, 1.0),
+    (np.array([-1.0, 0.0, 1.0]), 0.0, 0.7, 1.3),
+    (np.linspace(0, 2, 17), 0.9, 0.6, 2.0),
+    (np.arange(16) / 8.0, 0.3, 0.5, 1.0),
+    (np.arange(-7, 8) / 4.0, -0.6, 0.9, 0.5),
+]
+
+# the correction registers of 2 to 64 points
+REGISTERS = [
+    BoltzmannModel(kind, BitRange(r, 1)).support()
+    for kind, rs in (
+        (SupportKind.POSITIVE, (0, -3, -5)),
+        (SupportKind.SIGNED_SYMMETRIC, (-1, -2, -4)),
+    )
+    for r in rs
+]
 
 
-def test_two_point_boltzmann_pmf():
-    d = boltzmann_dist(1.0, [0.0, 1.0], target=1.0, a=1.0)
-    expected = 1.0 / (1.0 + math.exp(-1.0))
-    assert d.pmf[1] == pytest.approx(expected, abs=1e-15)
-    assert d.pmf[0] == pytest.approx(1.0 - expected, abs=1e-15)
-    assert d.cdf[-1] == 1.0
+def test_oracle_pmf_sums_to_one():
+    for support, target, a, beta in MODERATE_LAWS + [(np.arange(16) / 8.0, 5e99, 0.5, 1e300)]:
+        pmf, cdf = boltzmann_law_oracle(support, target, a, beta)
+        assert abs(mpmath.fsum(pmf) - 1) < 1e-28 and abs(cdf[-1] - 1) < 1e-28
+        assert all(p > 0 for p in pmf) and all(x <= y for x, y in zip(cdf, cdf[1:]))
 
 
-def test_symmetric_energies_give_symmetric_pmf():
-    d = boltzmann_dist(1.3, [-1.0, 0.0, 1.0], target=0.0, a=0.7)
-    assert d.pmf[0] == pytest.approx(d.pmf[2], rel=1e-14)
+def test_oracle_matches_the_float_formula_at_moderate_targets():
+    # exp(-beta^2 (E - E_min)) / sum in doubles, with E = (a*v - t)^2: at beta <= 2
+    # and energies below 4 each weight's exponent is off by a few ulp at most
+    for support, target, a, beta in MODERATE_LAWS:
+        energy = (a * support - target) ** 2
+        weights = np.exp(-(beta**2) * (energy - energy.min()))
+        pmf, _ = boltzmann_law_oracle(support, target, a, beta)
+        np.testing.assert_array_max_ulp(floats(pmf), weights / weights.sum(), maxulp=4)
+
+
+def test_oracle_keeps_far_targets_on_the_nearest_point():
+    # the exact gaps to the top point 1.875 are at least 2*(t - 0.9375)*0.0625, so
+    # every other weight is below 1e-(10^13) and rounds to a zero double
+    support = np.arange(16) / 8.0
+    nearest = np.zeros(16)
+    nearest[-1] = 1.0
+    for target in (5e15, 5e99):
+        pmf, cdf = boltzmann_law_oracle(support, target, 0.5, 1.0)
+        assert np.array_equal(floats(pmf), nearest), target
+        assert np.array_equal(floats(cdf), nearest), target
+
+
+def pmf_tolerance(support, target, a, beta):
+    """Relative bound on each kernel mass: (n + 3 + beta^2 (10 M^2 + gap_k)) ulp of 1.
+
+    With M = max|a*v| + |t|, each computed energy (a*v - t)^2 is within
+    5 M^2 ulp, so its gap to the minimum within 10 M^2 + gap_k ulp; beta^2
+    times that is the exponent's error, which is the weight's relative
+    error, and exp and the normalising sum of n weights add n + 3 ulp.
+    """
+    energy = (a * support - target) ** 2
+    m = np.abs(a * support).max() + abs(target)
+    return (support.size + 3 + beta**2 * (10 * m**2 + energy - energy.min())) * 2.0**-52
+
+
+@pytest.mark.parametrize("beta", [0.05, 1.0, 4.0, 40.0, 300.0])
+def test_boltzmann_weights_match_the_oracle_within_the_stated_tolerance(beta):
+    # past beta ~ 1 the exponent's error dominates: 60 ulp were seen at beta = 2,
+    # 1580 at beta = 10 and 7020 at beta = 300, all within a fifth of the bound
+    for support in REGISTERS:
+        for a in (0.5, 0.73, 0.99):
+            for target in 1.0 / np.array([1.0, 1.3, 1.77, 2.0]):
+                w = _boltzmann_weights(support, target, a, beta)
+                pmf, _ = boltzmann_law_oracle(support, target, a, beta)
+                exact = floats(pmf)
+                tol = pmf_tolerance(support, target, a, beta) * exact + 1e-300
+                assert np.all(np.abs(w / w.sum() - exact) <= tol), (support.size, a, target)
+
+
+def test_two_point_boltzmann_cdf():
+    row = boltzmann_cdf_rows([0.0, 1.0], 1.0, 1.0, 1.0)
+    assert row[0] == pytest.approx(math.exp(-1.0) / (1.0 + math.exp(-1.0)), abs=1e-15)
+    assert row[1] == 1.0
+
+
+def test_symmetric_energies_give_symmetric_masses():
+    row = boltzmann_cdf_rows([-1.0, 0.0, 1.0], 0.0, 0.7, 1.3)
+    assert row[0] == pytest.approx(1.0 - row[1], rel=1e-14)
 
 
 def test_large_beta_concentrates_on_energy_minimizer():
     support = np.linspace(-2.0, 2.0, 9)
-    d = boltzmann_dist(1e3, support, target=0.77, a=1.0)
-    k = np.abs(support - 0.77).argmin()
-    assert d.pmf[k] >= 1.0 - 1e-9
+    pmf = np.diff(boltzmann_cdf_rows(support, 0.77, 1.0, 1e3), prepend=0.0)
+    assert pmf[np.abs(support - 0.77).argmin()] >= 1.0 - 1e-9
 
 
-def test_shift_invariance_of_the_law():
-    support = np.array([-0.5, 0.0, 0.25, 1.0])
-    beta, target, a = 1.7, 0.4, 0.8
-    d = boltzmann_dist(beta, support, target, a)
-    h = (a * support - target) ** 2
-    raw = np.exp(-(beta**2) * h)
-    assert np.max(np.abs(d.pmf - raw / raw.sum())) <= 1e-14
-
-
-def test_pmf_sums_to_one_and_cdf_runs_up():
-    d = boltzmann_dist(2.0, np.linspace(0, 2, 17), 0.9, 0.6)
-    assert d.pmf.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.all(np.diff(d.cdf) >= 0)
-    assert np.allclose(d.cdf, np.cumsum(d.pmf), atol=1e-12)
-
-
-def test_boltzmann_input_validation():
-    with pytest.raises(ValueError):
-        boltzmann_dist(0.0, [0.0, 1.0], 0.5, 1.0)
-    with pytest.raises(ValueError):
-        boltzmann_dist(1.0, [1.0, 0.0], 0.5, 1.0)
-    with pytest.raises(ValueError):
-        boltzmann_dist(1.0, [0.0, 1.0], 0.5, 0.0)
-    with pytest.raises(ValueError):
-        boltzmann_dist(1.0, [], 0.5, 1.0)
+def test_cdf_row_runs_up_to_one():
+    row = boltzmann_cdf_rows(np.linspace(0, 2, 17), 0.9, 0.6, 2.0)
+    assert np.all(np.diff(row) >= 0) and row[-1] == 1.0
 
 
 NAN = float("nan")
@@ -67,27 +127,17 @@ INF = float("inf")
 @pytest.mark.parametrize("call", [
     lambda: std_normal_quantile(NAN),
     lambda: std_normal_quantile(np.array([0.5, NAN])),
-    lambda: quantile(boltzmann_dist(1.0, [0.0, 1.0, 2.0], 1.0, 1.0), NAN),
-    lambda: boltzmann_dist(NAN, [0.0, 1.0, 2.0], 1.0, 1.0),
-    lambda: boltzmann_dist(INF, [0.0, 1.0, 2.0], 1.0, 1.0),
-    lambda: boltzmann_dist(1.0, [0.0, 1.0, 2.0], NAN, 1.0),
-    lambda: boltzmann_dist(1.0, [0.0, 1.0, 2.0], 1.0, NAN),
-    lambda: boltzmann_dist(1.0, [0.0, 1.0, 2.0], 1.0, INF),
-    lambda: boltzmann_dist(1.0, [-INF, 0.0, INF], 1.0, 1.0),
-    lambda: boltzmann_dist(1.0, [0.0, 1.0, 2.0], 1e308, 1.0),
-], ids=[
-    "std_normal", "std_normal_array", "boltzmann_quantile", "boltzmann_beta", "boltzmann_beta_inf",
-    "boltzmann_target", "boltzmann_a", "boltzmann_a_inf", "boltzmann_support_inf",
-    "boltzmann_energy_overflow",
-])
+    lambda: boltzmann_cdf_rows([0.0, 1.0, 2.0], NAN, 1.0, 1.0),
+    lambda: boltzmann_cdf_rows([0.0, 1.0, 2.0], 1e308, 1.0, 1.0),
+], ids=["std_normal", "std_normal_array", "boltzmann_target", "boltzmann_energy_overflow"])
 def test_nan_and_infinite_inputs_raise(call):
     with pytest.raises(ValueError):
         call()
 
 
 def test_boltzmann_far_support_points_may_overflow_to_zero_mass():
-    d = boltzmann_dist(1.0, [-1e200, 0.0, 1.0], 0.5, 1.0)
-    assert d.pmf[0] == 0.0 and np.all(np.isfinite(d.pmf))
+    row = boltzmann_cdf_rows([-1e200, 0.0, 1.0], 0.5, 1.0, 1.0)
+    assert row[0] == 0.0 and np.all(np.isfinite(row))
 
 
 def test_beta_past_the_float_range_puts_all_mass_on_the_minimum_energy_points():
@@ -100,11 +150,10 @@ def test_beta_past_the_float_range_puts_all_mass_on_the_minimum_energy_points():
     for row, target in zip(rows, targets):
         energy = (a * support - target) ** 2
         limit = (energy == energy.min()) / np.count_nonzero(energy == energy.min())
-        d = boltzmann_dist(beta, support, target, a)
-        assert np.array_equal(d.pmf, limit)
-        assert np.array_equal(d.cdf, row)
-        np.testing.assert_allclose(row, np.cumsum(limit), rtol=0, atol=1e-15)
-    assert np.count_nonzero(boltzmann_dist(beta, support, 0.75 / 16, a).pmf) == 2
+        pmf, _ = boltzmann_law_oracle(support, target, a, beta)
+        assert np.array_equal(floats(pmf), limit)
+        np.testing.assert_array_equal(np.diff(row, prepend=0.0), limit)
+    assert np.count_nonzero(np.diff(rows[2], prepend=0.0)) == 2
 
 
 def cdf_rows_ignoring_overflow(support, targets, a, beta):
@@ -121,19 +170,17 @@ def cdf_rows_ignoring_overflow(support, targets, a, beta):
 
 
 def test_boltzmann_cdf_rows_refuses_a_target_whose_energies_all_overflow():
-    # every energy of the 1e200 target passes the float range, as in boltzmann_dist
+    # every energy of the 1e200 target passes the float range
     support = np.arange(16) / 8.0
-    with pytest.raises(ValueError) as ref:
-        boltzmann_dist(1.0, support, 1e200, 0.5)
-    assert "overflows on the whole support" in str(ref.value)
+    message = "energy (a*v - target)^2 overflows on the whole support (a=0.5, target=1e+200)"
     with pytest.raises(ValueError) as err:
         boltzmann_cdf_rows(support, np.array([0.7, 1e200, 1.0]), 0.5, 1.0)
-    assert str(err.value) == str(ref.value)
+    assert str(err.value) == message
     # a 0-d target, as the sampler's one draw passes it, names the same target
     for target in (1e200, np.float64(1e200), np.array(1e200)):
         with pytest.raises(ValueError) as err:
             boltzmann_cdf_rows(support, target, 0.5, 1.0)
-        assert str(err.value) == str(ref.value)
+        assert str(err.value) == message
 
 
 @settings(max_examples=300, deadline=None)
@@ -182,44 +229,44 @@ def test_boltzmann_cdf_rows_past_the_float_range_warn_nothing(a, beta):
     "spreads over the tied points instead of sitting on the nearest one",
 )
 def test_far_target_keeps_its_mass_on_the_nearest_point():
-    # a*v tops out at 0.9375, far below each target: the gap to the next
-    # point's energy is at least 2*(t - 0.9375)*0.0625, so beta=1 leaves
-    # weight exp(-gap) = 0 off the top point 1.875
+    # the independent law puts every far target's mass on the top point 1.875
+    # (test_oracle_keeps_far_targets_on_the_nearest_point); the kernel's rows must too
     support = np.arange(16) / 8.0
-    nearest = np.zeros(16)
-    nearest[-1] = 1.0
     rows = boltzmann_cdf_rows(support, np.array([5e15, 5e99]), 0.5, 1.0)
     for target, row in zip((5e15, 5e99), rows):
-        d = boltzmann_dist(1.0, support, target, 0.5)
-        assert np.array_equal(d.pmf, nearest), target
-        assert np.array_equal(d.cdf, nearest), target
-        assert np.array_equal(row, nearest), target
+        _, cdf = boltzmann_law_oracle(support, target, 0.5, 1.0)
+        assert np.array_equal(row, floats(cdf)), target
 
 
-def test_quantile_examples():
-    d = boltzmann_dist(1.0, [0.0, 1.0], 1.0, 1.0)  # cdf(0) ~ 0.2689
-    assert quantile(d, 0.2) == 0.0
-    assert quantile(d, 0.5) == 1.0
-    assert quantile(d, 1.0) == 1.0
-    with pytest.raises(ValueError):
-        quantile(d, 1.5)
+def test_index_rule_examples():
+    # the two-point law's CDF at 0 is e^-1 / (1 + e^-1) ~ 0.2689
+    support = np.array([0.0, 1.0])
+    _, cdf = boltzmann_law_oracle(support, 1.0, 1.0, 1.0)
+    assert 0.2689 < cdf[0] < 0.269
+    for u, want in ((0.2, 0.0), (0.5, 1.0), (1.0, 1.0)):
+        assert _boltzmann_q(support, u, 1.0, 1.0, 1.0) == want
 
 
-def test_quantile_limits_skip_zero_mass_points():
-    # the outer support points carry energies big enough to underflow to 0
-    d = boltzmann_dist(10.0, [-100.0, 0.0, 1.0, 100.0], target=0.5, a=1.0)
-    assert d.pmf[0] == 0.0 and d.pmf[-1] == 0.0
-    assert quantile(d, 0.0) == 0.0
-    assert quantile(d, 1.0) == 1.0
+def test_index_rule_limits_skip_zero_mass_points():
+    # the outer support points carry energies big enough to underflow to a zero double
+    support = np.array([-100.0, 0.0, 1.0, 100.0])
+    pmf, _ = boltzmann_law_oracle(support, 0.5, 1.0, 10.0)
+    assert float(pmf[0]) == 0.0 and float(pmf[-1]) == 0.0
+    assert _boltzmann_q(support, 0.0, 2.0, 1.0, 10.0) == 0.0
+    assert _boltzmann_q(support, 1.0, 2.0, 1.0, 10.0) == 1.0
 
 
-def test_quantile_is_a_right_continuous_step_function():
-    d = boltzmann_dist(0.8, np.array([-1.0, -0.25, 0.5, 2.0]), 0.3, 0.9)
-    us = np.linspace(0.0, 1.0, 301)
-    values = quantile(d, us)
-    assert np.all(np.diff(values) >= 0.0)
-    for k in range(d.support.size):
-        assert quantile(d, float(d.cdf[k])) == d.support[k]
+@pytest.mark.parametrize("beta", [0.05, 0.8, 4.0, 40.0])
+def test_index_rule_matches_the_oracle_beside_each_step(beta):
+    # u just below and just above each exact CDF step, never within rounding of
+    # one, picks the law's quantile; between steps the draw is a monotone step function
+    for support in REGISTERS + [np.array([-1.0, -0.25, 0.5, 2.0])]:
+        for c in (1.3, 1.77):
+            _, cdf = boltzmann_law_oracle(support, 1.0 / c, 0.9, beta)
+            us, idx = oracle_step_probes(cdf)
+            np.testing.assert_array_equal(_boltzmann_q(support, us, c, 0.9, beta), support[idx])
+            grid = _boltzmann_q(support, np.linspace(0.0, 1.0, 301), c, 0.9, beta)
+            assert np.all(np.diff(grid) >= 0.0)
 
 
 def test_std_normal_quantile_basics():

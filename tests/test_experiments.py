@@ -6,10 +6,11 @@ import textwrap
 import threading
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sc
-from helpers import mc_convergence_oracle, summary_bits
+from helpers import boltzmann_law_oracle, mc_convergence_oracle, summary_bits
 
 import annealsolve
 from annealsolve import (
@@ -270,6 +271,41 @@ def test_ks_helper_hand_case():
     # single atom at 0 vs a continuous law with F(0) = 0.3:
     # sup over the jump is max(|1 - 0.3|, |0 - 0.3|) = 0.7
     assert ks_discrete_vs_continuous([1.0], np.array([0.3])) == pytest.approx(0.7)
+    # the discrete law is given by its CDF: the left limit 0.25 at the second
+    # point is 0.65 below F = 0.9 there, the largest of the four gaps
+    assert ks_discrete_vs_continuous([0.25, 1.0], np.array([0.1, 0.9])) == pytest.approx(0.65)
+
+
+def ks_oracle(a, b, beta, support, limit):
+    """limit_check's KS distance in mpmath, from the exact law and an mpmath limit CDF."""
+    _, cdf = boltzmann_law_oracle(support, b, a, beta)
+    with mpmath.workdps(30):
+        mu = mpmath.mpf(b) / a
+        sigma = 1 / (mpmath.sqrt(2) * abs(a) * beta)
+        limit_cdf = [mpmath.ncdf(v, mu, sigma) for v in support]
+        if isinstance(limit, TruncNormalModel):
+            low, high = (mpmath.ncdf(d, mu, sigma) for d in (limit.d1, limit.d2))
+            limit_cdf = [(g - low) / (high - low) for g in limit_cdf]
+        left = [mpmath.mpf(0), *cdf[:-1]]
+        return max(max(abs(f - g), abs(f0 - g)) for f, f0, g in zip(cdf, left, limit_cdf))
+
+
+@pytest.mark.parametrize("a,b,beta", [(1.0, 0.5, 1.0), (0.7, 0.5, 2.0), (-1.3, 0.2, 0.7)])
+@pytest.mark.parametrize("limit", [NormalModel(), TruncNormalModel(0.0, 2.0), preset("a1")],
+                         ids=model_id)
+def test_limit_check_ks_matches_the_oracle_on_small_ranges(a, b, beta, limit):
+    # up to 256 points, |a*v| + |b| <= 11 and beta <= 2, each CDF entry of the
+    # kernel is within about (2n + 10 beta^2 M^2) ulp of the exact one, under 1e-12;
+    # 6.4e-16 was the largest difference seen
+    ranges = [BitRange(r, r + w) for w in (2, 5, 8) for r in (-w, 3 - w)]
+    for rg, row in zip(ranges, limit_check(a, b, beta, ranges, limit=limit)):
+        if isinstance(limit, NormalModel):
+            support = np.arange(1 - 2**rg.width, 2**rg.width) * 2.0**rg.r
+        else:
+            d1, d2 = limit.d1, limit.d2
+            support = d1 + (d2 - d1) * (np.arange(2**rg.width) / 2**rg.width)
+        assert row.n_points == support.size
+        assert abs(row.ks - ks_oracle(a, b, beta, support, limit)) <= 1e-12, rg
 
 
 def test_limit_check_full_line_decreases():
@@ -349,7 +385,7 @@ def test_limit_check_refuses_the_widest_range_before_any_row(monkeypatch, limit,
     def no_rows(*args, **kwargs):
         raise AssertionError("a row was computed before the size check")
 
-    monkeypatch.setattr("annealsolve.experiments.boltzmann_dist", no_rows)
+    monkeypatch.setattr("annealsolve.experiments.boltzmann_cdf_rows", no_rows)
     message = f"^{bits} bits exceeds enumeration limit 30$"
     for ranges in ([BitRange(-3, 3), BitRange(-40, 1)], [BitRange(-40, 1), BitRange(-3, 3)]):
         with pytest.raises(SupportTooLargeError, match=message):

@@ -13,19 +13,25 @@ from annealsolve import (
     NormalModel,
     SupportKind,
     TruncNormalModel,
-    boltzmann_dist,
     mc_convergence,
     model_id,
     normalize,
     preset,
     q_value,
-    quantile,
     replay_errors,
 )
 from annealsolve import rng, sampler
 from annealsolve.cli import parse_model_spec
 from annealsolve.dist import boltzmann_cdf_rows
-from helpers import INPUT_KINDS, chisq_pvalue, trunc_normal_quantile_oracle
+from helpers import (
+    INPUT_KINDS,
+    boltzmann_law_oracle,
+    chisq_pvalue,
+    floats,
+    oracle_index,
+    oracle_step_probes,
+    trunc_normal_quantile_oracle,
+)
 
 POS21 = BoltzmannModel(SupportKind.POSITIVE, BitRange(-2, 1))
 SYM11 = BoltzmannModel(SupportKind.SIGNED_SYMMETRIC, BitRange(-1, 1))
@@ -164,39 +170,45 @@ def test_a4_contraction_bound():
 
 
 @pytest.mark.parametrize("beta", [1.2, 60.0, 1e300])
-def test_boltzmann_broadcast_matches_per_c_dists(beta):
-    # at beta = 60 the leading support points carry zero mass, so u = 0 must
-    # skip them to the smallest value with positive mass; at beta = 1e300
-    # beta^2 overflows and the law is its beta -> inf limit
-    us = np.array([0.0, 0.1, 0.5, 0.9, 1.0])
+def test_boltzmann_broadcast_matches_the_oracle_per_c(beta):
+    # at beta = 60 the leading support points carry masses that are zero
+    # doubles, so u = 0 must skip them to the first point of positive double
+    # mass; at beta = 1e300 beta^2 overflows and the law is its beta -> inf limit
+    support = POS21.support()
+    us = np.array([0.0, 0.1, 0.5, 0.9])
     cs = np.array([1.0, 1.5, 2.0])
     got = q_value(POS21, us[None, :], cs[:, None], 0.7, beta)
     for i, c in enumerate(cs):
-        d = boltzmann_dist(beta, POS21.support(), 1.0 / c, 0.7)
-        assert (d.pmf[0] == 0.0) == (beta > 2.0)
-        assert got[i].tolist() == [quantile(d, float(u)) for u in us]
-        # each CDF entry as a u sits on a step of the law
-        at_steps = np.concatenate((us, d.cdf))
-        assert q_value(POS21, at_steps, c, 0.7, beta).tolist() == quantile(d, at_steps).tolist()
+        pmf, cdf = boltzmann_law_oracle(support, 1.0 / c, 0.7, beta)
+        first = next(k for k, p in enumerate(pmf) if float(p) > 0.0)
+        assert (first > 0) == (beta > 2.0)
+        assert got[i].tolist() == support[[first, *oracle_index(cdf, us[1:])]].tolist()
+        # u beside each step of the exact law, never within rounding of one
+        probes, idx = oracle_step_probes(cdf)
+        assert q_value(POS21, probes, c, 0.7, beta).tolist() == support[idx].tolist()
 
 
-def test_boltzmann_kernel_matches_its_reference_law_at_u_1():
-    # the top point 1.875 has mass 3.8e-19, below the CDF's last ulp: both
-    # laws read the one CDF, which reaches 1.0 at 1.75, by the one index rule
+def test_boltzmann_kernel_at_u_1_stops_at_the_first_cdf_entry_of_1():
+    # the top point 1.875 has mass 3.8e-19, below the CDF's last ulp: the
+    # computed CDF row reaches 1.0 at 1.75, where the index rule stops
     model = parse_model_spec("boltzmann:positive:r=-3:p=1")
-    d = boltzmann_dist(10.0, model.support(), 1.0 / 1.5, 0.7)
-    assert 0.0 < d.pmf[-1] < 1e-18
-    assert q_value(model, 1.0 - 2.0**-53, 1.5, 0.7, 10.0) == quantile(d, 1.0 - 2.0**-53)
-    assert q_value(model, 1.0, 1.5, 0.7, 10.0) == quantile(d, 1.0) == 1.75
+    support = model.support()
+    pmf, _ = boltzmann_law_oracle(support, 1.0 / 1.5, 0.7, 10.0)
+    assert 0.0 < pmf[-1] < 1e-18
+    row = boltzmann_cdf_rows(support, 1.0 / 1.5, 0.7, 10.0)
+    below = 1.0 - 2.0**-53
+    assert q_value(model, below, 1.5, 0.7, 10.0) == support[np.count_nonzero(row < below)]
+    assert q_value(model, 1.0, 1.5, 0.7, 10.0) == support[np.argmax(row == 1.0)] == 1.75
 
 
 def test_stratified_uniforms_reproduce_exact_pmf():
     n = 4096
     us = (np.arange(n) + 0.5) / n
-    d = boltzmann_dist(1.5, POS21.support(), 1.0 / 1.3, 0.7)
+    support = POS21.support()
+    pmf, _ = boltzmann_law_oracle(support, 1.0 / 1.3, 0.7, 1.5)
     values = q_value(POS21, us, 1.3, 0.7, 1.5)
-    counts = np.array([(values == v).sum() for v in d.support])
-    assert np.all(np.abs(counts - n * d.pmf) <= 1.0)
+    counts = np.array([(values == v).sum() for v in support])
+    assert np.all(np.abs(counts - n * floats(pmf)) <= 1.0)
 
 
 def test_truncnormal_stratified_uniforms_match_cdf():
@@ -219,9 +231,9 @@ def test_chi_square_against_exact_pmf():
     a, c, beta = 0.7, 1.3, 2.0
     u = rng.uniforms(123, 10**5)
     values = q_value(model, u, c, a, beta)
-    d = boltzmann_dist(beta, model.support(), 1.0 / c, a)
-    counts = np.array([(values == v).sum() for v in d.support])
-    assert chisq_pvalue(counts, d.pmf) > 0.01
+    pmf, _ = boltzmann_law_oracle(model.support(), 1.0 / c, a, beta)
+    counts = np.array([(values == v).sum() for v in model.support()])
+    assert chisq_pvalue(counts, floats(pmf)) > 0.01
 
 
 def cdf_rows_row_major(support, targets, a, beta):
@@ -274,9 +286,6 @@ def test_boltzmann_tiles_match_row_major_oracle(model):
                 np.testing.assert_array_equal(
                     rows, cdf_rows_row_major(support, 1.0 / c, 0.73, beta)
                 )
-                # the reference law's CDF is its target's row, bit for bit
-                d = boltzmann_dist(beta, support, 1.0 / c[-1], 0.73)
-                np.testing.assert_array_equal(d.cdf, rows[-1])
 
 
 @pytest.mark.parametrize("spec", [(SupportKind.SIGNED_SYMMETRIC, -2), (SupportKind.POSITIVE, -3)])

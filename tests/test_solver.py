@@ -207,6 +207,22 @@ def test_replay_and_solve_stop_on_an_exact_hit():
     assert trace.final_x == 1.5
 
 
+def test_overflowed_c_takes_the_exact_error_ratio():
+    # the zero-exponent first step on a subnormal residual: c = 1/|res| = inf, and the
+    # positive register draws q = 0, so 1 - a*c*q would be inf*0 = NaN; the error
+    # ratio 1 - a*q/ldexp(|res|, l) is exactly 1, and the replay takes the same step
+    inst = normalize(1.0, 1e-323)
+    model = BoltzmannModel(SupportKind.POSITIVE, BitRange(-3, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = solve(inst, model, beta=2.0, seed=0, max_iter=3, l0_zero=True)
+        replay = replay_errors(inst, model, 2.0, trace.eta, l0_zero=True)
+    assert trace.c[0] == math.inf and trace.delta[0] == 0.0
+    assert trace.multiplier[0] == 1.0
+    assert trace.multiplier[1:].tolist() == (1.0 - inst.a * trace.c[1:] * trace.delta[1:]).tolist()
+    assert replay.tolist() == trace.x.tolist()
+
+
 def test_solve_validates_arguments():
     inst = normalize(0.5, 0.7)
     with pytest.raises(ValueError):
