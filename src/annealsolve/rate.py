@@ -24,9 +24,9 @@ cells can be skipped: only for the normal and truncated-normal laws.
 Continuous models take the max over c on a dense c-grid, refined inside
 the grid cells next to the best grid point, and use Gauss-Legendre
 quadrature in u.  They evaluate r through the model's own vectorised
-kernel, ``model.quantile``, the one the sampler uses; any callable
-``q(u, c, a, beta)`` can stand in for a model, and it must broadcast in a
-as it does in u and c.
+kernel, ``model.quantile``, the one the sampler uses.  r_func, E_func and
+E_max (not rate_curve) also take any callable ``q(u, c, a, beta)`` as the
+tests' full-grid references; it must broadcast in a as it does in u and c.
 
 For the normal and truncated-normal laws the grid pass skips most of the
 grid: 1 - c a q = -(c / beta) y(c) with y nondecreasing in c, so the two
@@ -652,22 +652,15 @@ def rate_curve(
 ) -> list[RatePoint]:
     """E_max per (model, beta), as a long-format table sorted by (model_id, beta).
 
-    Each distinct (model_id, beta) is one cell; a plain callable's id is its
-    ``__name__``, and two different models sharing an id raise ValueError.
+    Each distinct (model_id, beta) is one cell, and equal ids are equal
+    models; a plain callable is model_id's TypeError before any cell runs.
     The cells run on a thread pool with one worker per cell, up to the usable
     CPUs, or serially on one; order and values do not depend on the count.
     """
-    models = list(models)
-    if not models:
+    by_id = {model_id(model): model for model in models}
+    if not by_id:
         raise ValueError("model list is empty")
     betas = sorted({float(b) for b in betas})
-
-    by_id: dict = {}
-    for model in models:
-        plain = callable(model) and not isinstance(model, CorrectionModel)
-        mid = getattr(model, "__name__", "custom") if plain else model_id(model)
-        if by_id.setdefault(mid, model) != model:
-            raise ValueError(f"two different models share the id {mid!r}")
     cells = [(mid, by_id[mid], beta) for mid in sorted(by_id) for beta in betas]
     for _, model, beta in cells:
         _check_inputs(beta=beta, a_steps=a_steps, c_steps=c_steps, gl_nodes=gl_nodes, model=model)

@@ -210,10 +210,11 @@ def solve(
 
     # row n holds step n; x has the extra final iterate
     x = np.zeros(max_iter + 1)
-    res, c, q, delta = (np.empty(max_iter) for _ in range(4))
+    res, c, delta, multiplier = (np.empty(max_iter) for _ in range(4))
     l = np.empty(max_iter, dtype=int)
     n = 0
-    # the iterate steps as a Python float; x records it
+    # the iterate steps as a Python float, and each step's multiplier is
+    # _error_ratio of the floats _advance returns; the arrays record them
     x_n = 0.0
     # a draw that overflows (1/(a*c) where the zero-exponent first step's
     # c = 1/|residual| is tiny) takes the iterate past the float range, which
@@ -222,7 +223,7 @@ def solve(
     with np.errstate(over="ignore"):
         while n < max_iter and not abs(inst.b - inst.a * x_n) <= tol:
             try:
-                x_next, res[n], l[n], c[n], q[n], delta[n] = _advance(
+                x_next, res_n, l_n, c_n, q_n, delta[n] = _advance(
                     x_n, inst, model, beta, etas[n], l0_zero and n == 0
                 )
             except ValueError as err:
@@ -235,14 +236,11 @@ def solve(
                 raise ValueError(
                     f"solve diverged: step {n} took the iterate from {x_n!r} to {x_next!r}"
                 )
+            res[n], l[n], c[n] = res_n, l_n, c_n
+            multiplier[n] = _error_ratio(inst.a, res_n, l_n, c_n, q_n)
             x[n + 1] = x_n = x_next
             n += 1
 
-    # c overflows only on the zero-exponent first step: step 0 takes the scalar rule
-    multiplier = np.empty(n)
-    multiplier[1:] = 1.0 - inst.a * c[1:n] * q[1:n]
-    if n:
-        multiplier[0] = _error_ratio(inst.a, float(res[0]), int(l[0]), float(c[0]), float(q[0]))
     return IterationTrace(
         instance=inst,
         model=model_id(model),
@@ -256,7 +254,7 @@ def solve(
         c=c[:n],
         eta=etas[:n],
         delta=delta[:n],
-        multiplier=multiplier,
+        multiplier=multiplier[:n],
         exact=bool(inst.b - inst.a * x[n] == 0.0),
         stopped=n < max_iter,
     )

@@ -16,8 +16,10 @@ from annealsolve import (
     E_func,
     E_max,
     NormalModel,
+    RatePoint,
     SupportKind,
     mc_convergence,
+    model_id,
     preset,
     q_value,
     r_func,
@@ -550,7 +552,7 @@ def test_rate_curve_pools_one_worker_per_cell_up_to_the_cpus(monkeypatch, n_beta
     monkeypatch.setattr(rate, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(rate, "ThreadPoolExecutor", RecordingExecutor)
     betas = np.arange(1.0, n_betas + 1.0)
-    points = rate_curve([exact_sampler], betas, a_steps=3, c_steps=2, gl_nodes=8)
+    points = rate_curve([NormalModel()], betas, a_steps=3, c_steps=2, gl_nodes=8)
     assert [pt.beta for pt in points] == betas.tolist()
     assert made == sizes
 
@@ -565,14 +567,16 @@ def test_rate_curve_rejects_empty_models():
 
 
 def test_rate_csv_schema():
-    # a = 1/2 is on the 3-point a grid, so the exact sampler clamps there
-    points = rate_curve([exact_sampler], [1.0], a_steps=3, c_steps=2, gl_nodes=8)
-    text = rate_points_to_csv(points)
-    lines = text.strip().splitlines()
+    # the flag itself is checked against the oracle, where the exact sampler
+    # clamps (test_E_max_matches_scalar_oracle)
+    points = [
+        RatePoint(model_id="a1", beta=1.0, a=None, kind="Emax", value=-0.5, clamped=True),
+        RatePoint(model_id="a2", beta=2.0, a=0.75, kind="E", value=-1.25, clamped=False),
+    ]
+    lines = rate_points_to_csv(points).splitlines()
     assert lines[0] == ",".join(RATE_CSV_COLUMNS)
-    first = lines[1].split(",")
-    assert first[2] == ""  # empty a column on Emax rows
-    assert first[5] == "1"  # clamp flag propagates from the clamped cell
+    # an empty a column on Emax rows, and the clamp flag as 1 or 0
+    assert lines[1:] == ["a1,1.0,,Emax,-0.5,1", "a2,2.0,0.75,E,-1.25,0"]
 
 
 # ---- scalar oracle: the one-coefficient-at-a-time continuous engine --------
@@ -775,43 +779,48 @@ def test_tiny_grid_cells_make_few_kernel_calls():
         return a2.quantile(u, c, a, beta)
 
     betas = np.linspace(0.5, 5.0, 40)
-    rate_curve([counted], betas, a_steps=3, c_steps=5, gl_nodes=8)
+    for beta in betas:
+        E_max(counted, beta, a_steps=3, c_steps=5, gl_nodes=8)
     assert len(calls) == betas.size
     assert sum(calls.values()) <= 200 * betas.size
     assert max(calls.values()) <= 260
 
 
-def test_rate_curve_evaluates_each_model_id_and_beta_once():
-    calls = []
+def _record_cells(monkeypatch) -> list:
+    """The (model, beta) of each cell rate_curve evaluates, in any order."""
+    cells = []
+    evaluate = rate._E_max_flag
 
-    def counted(u, c, a, beta):
-        calls.append(beta)
-        return exact_sampler(u, c, a, beta)
+    def recorded(model, beta, *grids):
+        cells.append((model, beta))
+        return evaluate(model, beta, *grids)
 
+    monkeypatch.setattr(rate, "_E_max_flag", recorded)
+    return cells
+
+
+def test_rate_curve_evaluates_each_model_id_and_beta_once(monkeypatch):
+    cells = _record_cells(monkeypatch)
     grids = dict(a_steps=3, c_steps=5, gl_nodes=8)
+    # the truncated normal on [0.5, 2] is a3, so its id is "a3"
     merged = rate_curve(
-        [preset("a3"), parse_model_spec("truncnormal:d1=0.5:d2=2"), counted, counted],
+        [preset("a3"), parse_model_spec("truncnormal:d1=0.5:d2=2"), preset("a2")],
         [2.0, 1.0, 2.0], **grids,
     )
-    merged_calls = len(calls)
-    calls.clear()
-    assert merged == rate_curve([preset("a3"), counted], [1.0, 2.0], **grids)
-    assert merged_calls == len(calls)
-    assert [(pt.model_id, pt.beta) for pt in merged] == [
-        ("a3", 1.0), ("a3", 2.0), ("counted", 1.0), ("counted", 2.0),
-    ]
+    keys = [("a2", 1.0), ("a2", 2.0), ("a3", 1.0), ("a3", 2.0)]
+    assert sorted((model_id(model), beta) for model, beta in cells) == keys
+    assert [(pt.model_id, pt.beta) for pt in merged] == keys
+    cells.clear()
+    assert merged == rate_curve([preset("a3"), preset("a2")], [1.0, 2.0], **grids)
+    assert len(cells) == len(keys)
 
 
-def test_rate_curve_rejects_different_models_sharing_an_id():
-    def first(u, c, a, beta):
-        return exact_sampler(u, c, a, beta)
-
-    def second(u, c, a, beta):
-        return exact_sampler(u, c, a, beta)
-
-    second.__name__ = "first"
-    with pytest.raises(ValueError, match="two different models share the id 'first'"):
-        rate_curve([first, second], [1.0], a_steps=3, c_steps=5, gl_nodes=8)
+def test_rate_curve_refuses_a_plain_callable(monkeypatch):
+    # E_max takes a callable one cell at a time
+    cells = _record_cells(monkeypatch)
+    with pytest.raises(TypeError, match="not a correction model"):
+        rate_curve([preset("a3"), exact_sampler], [1.0], a_steps=3, c_steps=5, gl_nodes=8)
+    assert cells == []
 
 
 # the laws whose c-grid pass skips cells: an interval in [-30, 30] of width
