@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import enum
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +123,17 @@ def _summarize(
     )
 
 
+@contextmanager
+def _pool_map(n_units: int):
+    """Yield map, or a thread pool's map with one worker per unit up to the usable CPUs."""
+    workers = min(n_units, rate._usable_cpus())
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            yield pool.map
+    else:
+        yield map
+
+
 def mc_convergence(
     model: CorrectionModel,
     a: float,
@@ -195,7 +208,7 @@ def mc_convergence(
             with np.errstate(divide="ignore"):
                 np.log(np.abs(ba - xs), out=log_error[k, t])
 
-    with rate._pool_map(n_slices) as map_slices:
+    with _pool_map(n_slices) as map_slices:
         for n0 in range(0, n_iter, rng.BLOCK_STEPS):
             list(map_slices(lambda i: advance_slice(i, n0), range(n_slices)))
             for k in range(min(rng.BLOCK_STEPS, n_iter - n0)):

@@ -50,6 +50,17 @@ cache-sized (a, c, u) tiles and the refinement in c in chunks of nodes.
 Each step is elementwise and each log-sum stays a 1-D dot per a, so every
 value is the one a one-a-at-a-time evaluation gives, bit for bit.
 
+That batch is also cut across processes (_E_grid_split): row i of the
+a-grid goes to slice i mod P, P = min(usable CPUs, a_steps), the calling
+process evaluates slice 0, and P - 1 forked workers the others.  The
+workers are forked at the first such cut and kept for the life of the
+process; one exits when its request pipe reaches EOF, so when its parent
+exits or dies.  No value depends on P.  The refinement over a runs in the
+calling process; so does the whole cell for the normal model's closed form,
+for a plain callable, on one usable CPU, off Linux, and where other Python
+threads are alive when the workers would be forked.  rate_curve runs its
+cells one after another, each cut this way.
+
 For Boltzmann models r(u) is constant between the CDF levels of all grid
 laws.  One sort of all the levels gives the pieces and, through its
 inverse, the levels' ranks: a grid law's support index k covers the run of
@@ -62,10 +73,15 @@ and n pieces rather than c_steps x n.
 
 from __future__ import annotations
 
+import atexit
+import contextlib
+import io
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+import pickle
+import signal
+import sys
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -593,7 +609,7 @@ def _E_max_flag(
     model, beta: float, a_steps: int, c_steps: int, gl_nodes: int
 ) -> tuple[float, bool]:
     a_grid = np.linspace(0.5, 1.0, a_steps)
-    values, flags = _E_grid(model, a_grid, beta, c_steps, gl_nodes)
+    values, flags = _E_grid_split(model, a_grid, beta, c_steps, gl_nodes)
     clamped = bool(flags.any())
 
     def evaluate(x: np.ndarray, sel) -> np.ndarray:
@@ -636,15 +652,185 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-@contextmanager
-def _pool_map(n_units: int):
-    """Yield map, or a thread pool's map with one worker per unit up to the usable CPUs."""
-    workers = min(n_units, _usable_cpus())
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield pool.map
-    else:
-        yield map
+def _slice_count(model, rows: int) -> int:
+    """How many slices _E_grid_split cuts rows coefficients into: min(usable CPUs, rows).
+
+    One, evaluated in this process alone, off Linux (the workers are forked,
+    and fork is Linux's start method), for a plain callable (which need not
+    pickle), and for the normal model, whose E is a closed form that costs
+    less than one exchange with a worker.
+    """
+    if sys.platform != "linux" or not hasattr(model, "quantile") or isinstance(model, NormalModel):
+        return 1
+    return min(_usable_cpus(), rows)
+
+
+@dataclass(eq=False)
+class _Worker:
+    """A forked process that evaluates a-grid slices for the process that forked it."""
+
+    pid: int
+    requests: io.BufferedWriter
+    replies: io.BufferedReader
+    lock: threading.Lock
+
+    def close(self) -> None:
+        self.requests.close()
+        self.replies.close()
+
+
+# the workers of the process whose pid is _workers_pid; a forked child
+# forks its own rather than write to its parent's
+_workers: list[_Worker] = []
+_workers_pid: int | None = None
+
+
+def _evaluate(model, a, beta: float, c_steps: int, gl_nodes: int):
+    """_E_grid's (values, flags), or the exception it raised."""
+    try:
+        return _E_grid(model, a, beta, c_steps, gl_nodes)
+    except Exception as exc:
+        return exc
+
+
+def _serve(requests, replies) -> None:
+    """A worker's loop: one pickled request in, one pickled reply out, until EOF."""
+    while True:
+        try:
+            request = pickle.load(requests)
+        except EOFError:
+            return
+        reply = _evaluate(*request)
+        try:
+            data = pickle.dumps(reply)
+        except Exception:  # an exception that does not pickle goes back as text
+            data = pickle.dumps(RuntimeError(f"{type(reply).__name__}: {reply}"))
+        replies.write(data)
+        replies.flush()
+
+
+def _fork_workers(count: int) -> list[_Worker]:
+    """Fork count workers, each serving its own request and reply pipe.
+
+    A worker ignores SIGINT, which a terminal sends to the whole process
+    group, and exits at EOF on its request pipe: when the parent closes it
+    at exit or dies (a later worker's copy of the write end closes when
+    that worker exits in turn).  It leaves through os._exit, so no parent's
+    atexit hook or stdio buffer runs twice.
+    """
+    workers: list[_Worker] = []
+    for _ in range(count):
+        request_r, request_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                os.close(request_w)
+                os.close(reply_r)
+                with os.fdopen(request_r, "rb") as requests, os.fdopen(reply_w, "wb") as replies:
+                    _serve(requests, replies)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(request_r)
+        os.close(reply_w)
+        workers.append(_Worker(
+            pid, os.fdopen(request_w, "wb"), os.fdopen(reply_r, "rb"), threading.Lock()
+        ))
+    return workers
+
+
+def _take_workers(count: int) -> list[_Worker]:
+    """Up to count idle workers of this process, each locked for the caller.
+
+    The first call that asks for one forks _usable_cpus() - 1 workers, kept
+    for the life of the process, unless other Python threads are alive,
+    whose locks a fork would copy in whatever state they hold them; such a
+    call takes none, and a later one forks.  A worker another thread holds
+    is not waited for.
+    """
+    global _workers, _workers_pid
+    if count < 1:
+        return []
+    if _workers_pid != os.getpid():
+        if threading.active_count() > 1:
+            return []
+        for worker in _workers:  # a parent's, inherited through fork
+            worker.close()
+        _workers, _workers_pid = _fork_workers(_usable_cpus() - 1), os.getpid()
+    taken = []
+    for worker in _workers:
+        if len(taken) == count:
+            break
+        if worker.lock.acquire(blocking=False):
+            taken.append(worker)
+    return taken
+
+
+def _discard(workers: list[_Worker]) -> None:
+    """Kill and reap workers whose exchange broke off, which may hold a stale reply."""
+    global _workers
+    _workers = [worker for worker in _workers if worker not in workers]
+    for worker in workers:
+        # a worker may be gone already, and its request buffer may flush
+        # into a closed pipe
+        with contextlib.suppress(OSError):
+            os.kill(worker.pid, signal.SIGKILL)
+            os.waitpid(worker.pid, 0)
+        with contextlib.suppress(OSError):
+            worker.close()
+
+
+@atexit.register
+def _stop_workers() -> None:
+    """Close every worker's pipes, so that each exits, and reap them all."""
+    global _workers
+    if _workers_pid != os.getpid():
+        return
+    workers, _workers = _workers, []
+    for worker in workers:
+        worker.close()
+    for worker in workers:
+        with contextlib.suppress(ChildProcessError):  # reaped by other code
+            os.waitpid(worker.pid, 0)
+
+
+def _E_grid_split(
+    model, a: np.ndarray, beta: float, c_steps: int, gl_nodes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """_E_grid over the 1-D array a, its rows dealt out to forked workers.
+
+    Row i goes to slice i mod P, P = 1 + the workers taken (at most
+    _slice_count - 1); this process evaluates slice 0 while the workers
+    evaluate the others, and the slices' (values, flags) are scattered back.
+    _E_grid's rows are independent bit for bit, so the values do not depend
+    on P.  A slice that raised raises here, after every reply is read; an
+    exchange cut off (an interrupt, a worker that died) discards its workers.
+    """
+    workers = _take_workers(_slice_count(model, a.size) - 1)
+    if not workers:
+        return _E_grid(model, a, beta, c_steps, gl_nodes)
+    p = len(workers) + 1
+    try:
+        for i, worker in enumerate(workers, 1):
+            worker.requests.write(pickle.dumps((model, a[i::p], beta, c_steps, gl_nodes)))
+            worker.requests.flush()
+        parts = [_evaluate(model, a[::p], beta, c_steps, gl_nodes)]
+        parts += [pickle.load(worker.replies) for worker in workers]
+    except BaseException:
+        _discard(workers)
+        raise
+    finally:
+        for worker in workers:
+            worker.lock.release()
+    values, flags = np.empty(a.size), np.empty(a.size, dtype=bool)
+    for i, part in enumerate(parts):
+        if isinstance(part, BaseException):
+            raise part
+        values[i::p], flags[i::p] = part
+    return values, flags
 
 
 def rate_curve(
@@ -654,8 +840,9 @@ def rate_curve(
 
     Each distinct (model_id, beta) is one cell, and equal ids are equal
     models; a plain callable is model_id's TypeError before any cell runs.
-    The cells run on a thread pool with one worker per cell, up to the usable
-    CPUs, or serially on one; order and values do not depend on the count.
+    The cells run one after another in this process, and each deals its
+    a-grid out to the forked workers of _E_grid_split; order and values do
+    not depend on the CPU count.
     """
     by_id = {model_id(model): model for model in models}
     if not by_id:
@@ -665,13 +852,13 @@ def rate_curve(
     for _, model, beta in cells:
         _check_inputs(beta=beta, a_steps=a_steps, c_steps=c_steps, gl_nodes=gl_nodes, model=model)
 
-    def work(cell) -> RatePoint:
-        mid, model, beta = cell
+    points = []
+    for mid, model, beta in cells:
         value, clamped = _E_max_flag(model, beta, a_steps, c_steps, gl_nodes)
-        return RatePoint(model_id=mid, beta=beta, a=None, kind="Emax", value=value, clamped=clamped)
-
-    with _pool_map(len(cells)) as map_cells:
-        return list(map_cells(work, cells))
+        points.append(
+            RatePoint(model_id=mid, beta=beta, a=None, kind="Emax", value=value, clamped=clamped)
+        )
+    return points
 
 
 def rate_points_to_csv(points) -> str:

@@ -167,7 +167,7 @@ def test_mc_convergence_pools_one_worker_per_slice_up_to_the_cpus(monkeypatch, n
             return map(fn, items)
 
     monkeypatch.setattr(rate, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(rate, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingExecutor)
     summary = mc_convergence(preset("a2"), 0.5, 0.7, 2.0, n_traj=n_traj, n_iter=2)
     assert summary.median_log_error.shape == (3,)
     assert made == sizes
